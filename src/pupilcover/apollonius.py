@@ -3,22 +3,45 @@
 Only the pieces the covering algorithms need are built: pairwise bisectors,
 points at equal additive distance to three disks, and per-disk witness sets
 (vertices inside the objective plus cell-boundary crossings of its rim).
-Construction is brute force over disk triples and pairs, which is robust and
-fast at the scales this library targets (a few hundred disks at most).
+
+``vertex_sets`` works on numpy arrays in two batched stages.  Disks that can
+own no point of the objective, or lie strictly inside another disk, are
+dropped first; that changes no witness.  The triple stage enumerates the
+remaining triples whose three pairs have a bisector and solves them in
+chunks: the closed-form equal-distance line and quadratic, a masked Newton
+polish, then a running global-minimum test over the disks.  The rim stage
+scans the pair differences on an angle grid in chunks of pairs and bisects
+all brackets at once.  Chunking keeps each temporary under 32 KB, so memory
+grows with the disk count (the disks-by-samples rim profile is 420 KB at 73
+disks) but never with the number of triples or pairs; the work is still
+cubic in the disk count.  The scalar ``tri_disk_vertices`` and
+``is_global_vertex`` are the reference the batched path is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Literal
 
 import numpy as np
 
-from .geom import TOL, Acs, Disk, Point, delta, delta_min
+from .geom import TOL, Acs, Disk, Point, delta_min
 
 WitnessKind = Literal["interior_vertex", "boundary_crossing"]
+
+# Chunk sizes of the batched witness construction, in triples, pair-by-sample
+# cells and point-by-disk cells: a triple chunk's temporaries hold one float
+# per candidate (at most two per triple), the others one float per cell, so
+# each stays under 32 KB.
+_TRIPLE_CHUNK = 256
+_RIM_CELLS = 4096
+_OWNER_CELLS = 4096
+
+# Stopping rules of the Newton polish and of the rim bisection.
+_NEWTON_STEPS = 40
+_FINAL_RESIDUAL = 1e-9
+_BISECT_STEPS = 80
 
 
 class ConcentricDisks(ValueError):
@@ -110,7 +133,7 @@ def _polish_vertex(x: float, y: float, r: float, cs, rs) -> tuple[float, float, 
     """Newton-refine an equal-distance candidate to residual <= 1e-12 on
     |x - c_k| - rho_k - r = 0 for all three disks.  Returns None when the
     iteration cannot converge (spurious root of the squared system)."""
-    for _ in range(40):
+    for _ in range(_NEWTON_STEPS):
         ds = [math.hypot(x - c[0], y - c[1]) for c in cs]
         if min(ds) <= 1e-12:
             return None
@@ -143,7 +166,7 @@ def _polish_vertex(x: float, y: float, r: float, cs, rs) -> tuple[float, float, 
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r)):
             return None
     ds = [math.hypot(x - c[0], y - c[1]) for c in cs]
-    if max(abs(ds[k] - rs[k] - r) for k in range(3)) > 1e-9:
+    if max(abs(ds[k] - rs[k] - r) for k in range(3)) > _FINAL_RESIDUAL:
         return None
     return x, y, r
 
@@ -227,51 +250,268 @@ def is_global_vertex(acs: Acs, x: Point, r: float, *, tol: float = TOL) -> bool:
     return delta_min(acs, x)[0] >= r - tol
 
 
-def _rim_profile(acs: Acs, radius: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
+def _live_disks(centers: np.ndarray, radii: np.ndarray, radius: float, tol: float) -> np.ndarray:
+    """Indices of the disks that can attain the minimal additive distance
+    (within ``tol``) somewhere within radius + tol of the origin.
+
+    Two kinds of disk are dropped, with a slack that covers the ownership
+    tolerance and the polish residual so that no witness, owner or value
+    changes: disks whose smallest additive distance over the objective
+    exceeds another disk's largest one, and disks strictly inside another."""
+    slack = 4.0 * tol + 2.0 * _FINAL_RESIDUAL
+    norms = np.hypot(centers[:, 0], centers[:, 1])
+    far = norms - radii - radius > (norms - radii + radius).min() + slack
+    dist = np.hypot(centers[:, None, 0] - centers[None, :, 0],
+                    centers[:, None, 1] - centers[None, :, 1])
+    inside = (dist < radii[None, :] - radii[:, None] - slack).any(axis=1)
+    return np.flatnonzero(~(far | inside))
+
+
+def _triples(ok: np.ndarray):
+    """Index columns (i, j, k), i < j < k, of every triple whose three pairs
+    are ``ok``, in lexicographic order, as (3, triples) arrays of
+    _TRIPLE_CHUNK columns (the last may be shorter)."""
+    upper = np.triu(ok, 1)
+    parts: list[np.ndarray] = []
+    held = 0
+    for i in range(ok.shape[0] - 2):
+        nb = np.flatnonzero(upper[i])
+        jj, kk = np.nonzero(np.triu(ok[np.ix_(nb, nb)], 1))
+        if jj.size == 0:
+            continue
+        parts.append(np.stack([np.full(jj.size, i), nb[jj], nb[kk]]))
+        held += jj.size
+        while held >= _TRIPLE_CHUNK:
+            block = np.concatenate(parts, axis=1)
+            yield block[:, :_TRIPLE_CHUNK]
+            parts = [block[:, _TRIPLE_CHUNK:]]
+            held -= _TRIPLE_CHUNK
+    if held:
+        yield np.concatenate(parts, axis=1)
+
+
+def _polish(x, y, r, cx, cy, rho):
+    """Vectorized ``_polish_vertex``: Newton on |x - c_k| - rho_k - r = 0 for
+    the three disks of each candidate (``cx``, ``cy``, ``rho`` have shape
+    (3, candidates)).  Each step solves the 3x3 Jacobian system in closed
+    form, reduced to 2x2 by subtracting the first row.  Returns the polished
+    x, y, r and the mask of candidates that converged."""
+    x, y, r = x.copy(), y.copy(), r.copy()
+    ok = np.ones(x.size, dtype=bool)
+    live = np.arange(x.size)
+    for _ in range(_NEWTON_STEPS):
+        if live.size == 0:
+            break
+        xl, yl, rl = x[live], y[live], r[live]
+        ddx, ddy = xl - cx[:, live], yl - cy[:, live]
+        ds = np.hypot(ddx, ddy)
+        f = ds - rho[:, live] - rl
+        hit = ds.min(axis=0) <= 1e-12
+        done = ~hit & (np.abs(f).max(axis=0) <= 1e-13)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ux, uy = ddx / ds, ddy / ds
+            du, dv, g = ux[1:] - ux[0], uy[1:] - uy[0], f[1:] - f[0]
+            det = du[0] * dv[1] - dv[0] * du[1]
+            flat = ~hit & ~done & ~(np.abs(det) > 1e-14)
+            sx = (g[0] * dv[1] - dv[0] * g[1]) / det
+            sy = (du[0] * g[1] - g[0] * du[1]) / det
+            nx, ny, nr = xl - sx, yl - sy, rl - (ux[0] * sx + uy[0] * sy - f[0])
+        move = ~hit & ~done & ~flat
+        blown = move & ~(np.isfinite(nx) & np.isfinite(ny) & np.isfinite(nr))
+        ok[live[hit | flat | blown]] = False
+        step = move & ~blown
+        moved = live[step]
+        x[moved], y[moved], r[moved] = nx[step], ny[step], nr[step]
+        live = live[move]
+    res = np.abs(np.hypot(x - cx, y - cy) - rho - r).max(axis=0)
+    return x, y, r, ok & (res <= _FINAL_RESIDUAL)
+
+
+def _solve_triples(cx, cy, rho):
+    """Batched ``tri_disk_vertices`` over one chunk of triples, given center
+    and radius arrays of shape (3, triples).  Returns x, y and r of every
+    polished solution in triple order, duplicates within a triple removed."""
+    g = cx ** 2 + cy ** 2 - rho ** 2
+    a1 = (2.0 * (cx[1] - cx[0]), 2.0 * (cy[1] - cy[0]), 2.0 * (rho[1] - rho[0]))
+    a2 = (2.0 * (cx[2] - cx[0]), 2.0 * (cy[2] - cy[0]), 2.0 * (rho[2] - rho[0]))
+    b1, b2 = g[1] - g[0], g[2] - g[0]
+    nx = a1[1] * a2[2] - a1[2] * a2[1]
+    ny = a1[2] * a2[0] - a1[0] * a2[2]
+    nz = a1[0] * a2[1] - a1[1] * a2[0]
+    norm1 = np.sqrt(a1[0] ** 2 + a1[1] ** 2 + a1[2] ** 2)
+    norm2 = np.sqrt(a2[0] ** 2 + a2[1] ** 2 + a2[2] ** 2)
+    regular = np.sqrt(nx * nx + ny * ny + nz * nz) > 1e-10 * norm1 * norm2
+
+    # Particular solution, pinning the unknown of the largest null component.
+    ax, ay, az = np.abs(nx), np.abs(ny), np.abs(nz)
+    pin_z = (az >= ax) & (az >= ay)
+    pin_y = ~pin_z & (ay >= ax)
+    den = np.where(regular, np.where(pin_z, nz, np.where(pin_y, -ny, nx)), 1.0)
+    u_bz = (b1 * a2[2] - b2 * a1[2]) / den
+    u_xb = (a1[0] * b2 - a2[0] * b1) / den
+    p0x = np.where(pin_z, (b1 * a2[1] - b2 * a1[1]) / den, np.where(pin_y, u_bz, 0.0))
+    p0y = np.where(pin_z, u_xb, np.where(pin_y, 0.0, u_bz))
+    p0z = np.where(pin_z, 0.0, np.where(pin_y, u_xb, (a1[1] * b2 - a2[1] * b1) / den))
+
+    # Substitute the line p0 + lam*n into |p - c1|^2 = (rho1 + r)^2.
+    dx, dy = p0x - cx[0], p0y - cy[0]
+    rr = rho[0] + p0z
+    qa = nx * nx + ny * ny - nz * nz
+    qb = 2.0 * (dx * nx + dy * ny - rr * nz)
+    qc = dx * dx + dy * dy - rr * rr
+    scale = np.abs(qb) + np.abs(qc) + 1.0
+    linear = np.abs(qa) <= 1e-14 * scale
+    disc = qb * qb - 4.0 * qa * qc
+    one = np.flatnonzero(regular & linear & (np.abs(qb) > 1e-14 * scale))
+    two = np.flatnonzero(regular & ~linear & (disc >= -1e-12 * scale * scale))
+
+    # Candidates in triple order, two slots per triple: the single root or
+    # the smaller-lam root in slot 0, the larger-lam root in slot 1.
+    lam = np.zeros((qa.size, 2))
+    has = np.zeros((qa.size, 2), dtype=bool)
+    sq = np.sqrt(np.maximum(disc[two], 0.0))
+    lam[one, 0] = -qc[one] / qb[one]
+    lam[two, 0] = (-qb[two] - sq) / (2.0 * qa[two])
+    lam[two, 1] = (-qb[two] + sq) / (2.0 * qa[two])
+    has[one, 0] = has[two, 0] = has[two, 1] = True
+    cand = np.flatnonzero(has)
+    tri, lam = cand // 2, lam.ravel()[cand]
+    x, y, r, keep = _polish(p0x[tri] + lam * nx[tri], p0y[tri] + lam * ny[tri],
+                            p0z[tri] + lam * nz[tri], cx[:, tri], cy[:, tri], rho[:, tri])
+
+    # A second root that polishes onto the first is the same solution.
+    second = np.flatnonzero(cand % 2 == 1)
+    first = second - 1
+    keep[second] &= ~(keep[first] & (np.abs(x[second] - x[first]) <= 1e-9)
+                      & (np.abs(y[second] - y[first]) <= 1e-9)
+                      & (np.abs(r[second] - r[first]) <= 1e-9))
+    return x[keep], y[keep], r[keep]
+
+
+def _interior_vertices(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ok: np.ndarray,
+                       radius: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-distance vertices of every ``ok`` triple that lie within
+    radius + tol of the origin and where no disk is closer than their common
+    distance (tolerance-inclusive), in triple order."""
+    found = [(np.empty(0), np.empty(0))]
+    for idx in _triples(ok):
+        x, y, r = _solve_triples(cx[idx], cy[idx], rho[idx])
+        keep = np.flatnonzero(np.hypot(x, y) <= radius + tol)
+        # Running global-minimum test, one disk at a time.
+        for d in range(cx.size):
+            if keep.size == 0:
+                break
+            keep = keep[np.hypot(x[keep] - cx[d], y[keep] - cy[d]) - rho[d] >= r[keep] - tol]
+        found.append((x[keep], y[keep]))
+    return tuple(np.concatenate(col) for col in zip(*found))
+
+
+def _rim_profile(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, radius: float,
+                 samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Additive distance of every disk to a uniform angle grid on the rim:
-    (angles, matrix of shape (disks, samples))."""
+    (angles, matrix of shape (disks, samples)), filled one disk at a time."""
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     px = radius * np.cos(thetas)
     py = radius * np.sin(thetas)
-    c = acs.centers_array()
-    vals = np.hypot(px[None, :] - c[:, None, 0], py[None, :] - c[:, None, 1])
-    return thetas, vals - acs.radii_array()[:, None]
+    profile = np.empty((cx.size, samples))
+    for k in range(cx.size):
+        np.hypot(px - cx[k], py - cy[k], out=profile[k])
+        profile[k] -= rho[k]
+    return thetas, profile
 
 
-def _pair_rim_roots(acs: Acs, a: int, b: int, radius: float,
-                    thetas: np.ndarray, row: np.ndarray) -> list[float]:
-    """Angles where the distance difference of disks a and b changes sign on
-    the rim, refined by bisection.  ``row`` holds the grid values of the
-    difference; crossings closer than one grid step can be missed, which is
-    the documented fidelity limit."""
-    da, db = acs.disks[a], acs.disks[b]
+def _rim_roots(thetas: np.ndarray, profile: np.ndarray, cx: np.ndarray, cy: np.ndarray,
+               rho: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+               radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Angles where the additive distances of disks ia[p] and ib[p] are
+    equal on the rim, for every pair p: sign changes of their difference on
+    the grid of ``_rim_profile``, each bracket bisected.  Crossings closer
+    than one grid step can be missed, which is the documented fidelity limit.
+    Returns (pair index, angle): the exact grid hits, then the bisected
+    brackets, each ordered by pair and angle."""
+    step = 2.0 * math.pi / thetas.size
+    none = np.empty(0, dtype=np.intp)
+    hits, brackets = [(none, none)], [(none, none, np.empty(0))]
+    chunk = max(1, _RIM_CELLS // thetas.size)
+    for s in range(0, ia.size, chunk):
+        row = profile[ia[s:s + chunk]] - profile[ib[s:s + chunk]]
+        exact = np.abs(row) <= 1e-15
+        p, k = np.nonzero(exact)
+        hits.append((p + s, k))
+        p, k = np.nonzero(~exact & (row * np.roll(row, -1, axis=1) < 0.0))
+        brackets.append((p + s, k, row[p, k]))
+    hp, hk = (np.concatenate(col) for col in zip(*hits))
+    bp, bk, flo = (np.concatenate(col) for col in zip(*brackets))
 
-    def f(theta: float) -> float:
-        x, y = radius * math.cos(theta), radius * math.sin(theta)
-        fa = math.hypot(x - da.center.x, y - da.center.y) - da.radius
-        fb = math.hypot(x - db.center.x, y - db.center.y) - db.radius
-        return fa - fb
+    # Bisect every bracket at once; a bracket stops at |f| <= 1e-15 or once
+    # its width drops to 1e-14.
+    lo = thetas[bk]
+    hi = lo + step
+    a, b = ia[bp], ib[bp]
+    live = np.arange(bp.size)
+    for _ in range(_BISECT_STEPS):
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        x, y = radius * np.cos(mid), radius * np.sin(mid)
+        al, bl = a[live], b[live]
+        fm = (np.hypot(x - cx[al], y - cy[al]) - rho[al]) \
+            - (np.hypot(x - cx[bl], y - cy[bl]) - rho[bl])
+        stop = (np.abs(fm) <= 1e-15) | (hi[live] - lo[live] <= 1e-14)
+        lo[live[stop]] = hi[live[stop]] = mid[stop]
+        same = ~stop & ((fm > 0) == (flo[live] > 0))
+        lo[live[same]], flo[live[same]] = mid[same], fm[same]
+        other = ~stop & ~same
+        hi[live[other]] = mid[other]
+        live = live[~stop]
 
-    m = thetas.shape[0]
-    step = 2.0 * math.pi / m
-    nxt = np.roll(row, -1)
-    exact = np.abs(row) <= 1e-15
-    bracket = (~exact) & (row * nxt < 0.0)
-    roots = [float(thetas[k]) for k in np.flatnonzero(exact)]
-    for k in np.flatnonzero(bracket):
-        lo, hi, flo = float(thetas[k]), float(thetas[k]) + step, float(row[k])
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if abs(fm) <= 1e-15 or (hi - lo) <= 1e-14:
-                lo = hi = mid
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    return roots
+    return np.concatenate([hp, bp]), np.concatenate([thetas[hk], 0.5 * (lo + hi)])
+
+
+def _owner_pairs(px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray,
+                 rho: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(point, disk) index pairs, in row-major order, where the disk's
+    additive distance is within ``tol`` of the smallest one at the point."""
+    rows = max(1, _OWNER_CELLS // max(1, cx.size))
+    pts, dks = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for s in range(0, px.size, rows):
+        d = np.hypot(px[s:s + rows, None] - cx[None, :], py[s:s + rows, None] - cy[None, :]) \
+            - rho[None, :]
+        p, k = np.nonzero(d <= d.min(axis=1, keepdims=True) + tol)
+        pts.append(p + s)
+        dks.append(k)
+    return np.concatenate(pts), np.concatenate(dks)
+
+
+def _rim_witnesses(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ia: np.ndarray,
+                   ib: np.ndarray, radius: float, samples: int, tol: float):
+    """Rim crossings of the pair bisectors (ia[p], ib[p]) at which both disks
+    of the pair attain the minimal additive distance over all given disks.
+    Returns the points' x and y, in the order of ``_rim_roots``, and their
+    (point, disk) owner pairs."""
+    if ia.size == 0:
+        empty = np.empty(0, dtype=np.intp)
+        return np.empty(0), np.empty(0), empty, empty
+    thetas, profile = _rim_profile(cx, cy, rho, radius, samples)
+    # Additive distances are 1-Lipschitz, so a disk that attains the minimum
+    # somewhere on the rim comes within one grid step of arc (plus tol) of
+    # the sampled minimum; pairs with any other disk keep no crossing.
+    reach = (profile <= profile.min(axis=0) + radius * 2.0 * math.pi / samples + 2.0 * tol) \
+        .any(axis=1)
+    use = reach[ia] & reach[ib]
+    ia, ib = ia[use], ib[use]
+    pair, theta = _rim_roots(thetas, profile, cx, cy, rho, ia, ib, radius)
+    px, py = radius * np.cos(theta), radius * np.sin(theta)
+    pt, dk = _owner_pairs(px, py, cx, cy, rho, tol)
+    owns_a = np.zeros(px.size, dtype=bool)
+    owns_b = np.zeros(px.size, dtype=bool)
+    owns_a[pt[dk == ia[pair[pt]]]] = True
+    owns_b[pt[dk == ib[pair[pt]]]] = True
+    keep = owns_a & owns_b
+    renum = np.zeros(px.size, dtype=np.intp)
+    renum[keep] = np.arange(np.count_nonzero(keep))
+    sel = keep[pt]
+    return px[keep], py[keep], renum[pt[sel]], dk[sel]
 
 
 def boundary_crossings(acs: Acs, a: int, b: int, radius: float, *,
@@ -284,14 +524,10 @@ def boundary_crossings(acs: Acs, a: int, b: int, radius: float, *,
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    thetas, profile = _rim_profile(acs, radius, samples)
-    roots = _pair_rim_roots(acs, a, b, radius, thetas, profile[a] - profile[b])
-    out: list[Point] = []
-    for theta in roots:
-        pt = Point(radius * math.cos(theta), radius * math.sin(theta))
-        dmin, _ = delta_min(acs, pt)
-        if delta(acs.disks[a], pt) <= dmin + tol and delta(acs.disks[b], pt) <= dmin + tol:
-            out.append(pt)
+    c = acs.centers_array()
+    px, py, _, _ = _rim_witnesses(c[:, 0], c[:, 1], acs.radii_array(), np.array([a]),
+                                  np.array([b]), radius, samples, tol)
+    out = [Point(float(x), float(y)) for x, y in zip(px, py)]
     out.sort(key=lambda p: math.atan2(p.y, p.x))
     return out
 
@@ -305,44 +541,24 @@ class VertexSet:
     points: tuple[tuple[Point, WitnessKind], ...]
 
 
-def _owners(acs: Acs, pt: Point, tol: float) -> tuple[list[int], float]:
-    c = acs.centers_array()
-    vals = np.hypot(c[:, 0] - pt.x, c[:, 1] - pt.y) - acs.radii_array()
-    dmin = float(vals.min())
-    return [int(k) for k in np.flatnonzero(vals <= dmin + tol)], dmin
-
-
 def vertex_sets(acs: Acs, radius: float, *, samples: int = 720, tol: float = TOL) -> list[VertexSet]:
-    """Witness sets for every ACS disk: enumerate all disk triples for
-    equal-distance vertices, keep those that are global minima inside the
-    objective, add rim crossings for all pairs, and assign each point to
-    every disk attaining the minimum there.  Points exactly on the rim are
-    classified as boundary crossings.  Output order is canonical (disk index,
-    then angle)."""
+    """Witness sets for every ACS disk: equal-distance vertices of disk
+    triples that are global minima inside the objective, plus rim crossings
+    of all pair bisectors, each point assigned to every disk attaining the
+    minimum there.  Points exactly on the rim are classified as boundary
+    crossings.  Output order is canonical (disk index, then angle)."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     m = acs.size
     centers = acs.centers_array()
     radii = acs.radii_array()
+    live = _live_disks(centers, radii, radius, tol)
+    cx, cy, rho = centers[live, 0], centers[live, 1], radii[live]
 
     # A common equal-distance point needs every pairwise bisector to be
     # nonempty, so additively dominated pairs prune their triples.
-    dx = centers[:, None, 0] - centers[None, :, 0]
-    dy = centers[:, None, 1] - centers[None, :, 1]
-    dist = np.hypot(dx, dy)
-    pair_ok = (dist > np.abs(radii[:, None] - radii[None, :])) & (dist > tol)
-
-    found: list[tuple[Point, float]] = []
-    for a, b, c in combinations(range(m), 3):
-        if not (pair_ok[a, b] and pair_ok[a, c] and pair_ok[b, c]):
-            continue
-        try:
-            sols = tri_disk_vertices(acs.disks[a], acs.disks[b], acs.disks[c], tol=tol)
-        except DegenerateTriple:
-            continue
-        for pt, r in sols:
-            if pt.norm() <= radius + tol and is_global_vertex(acs, pt, r, tol=tol):
-                found.append((pt, r))
+    dist = np.hypot(cx[:, None] - cx[None, :], cy[:, None] - cy[None, :])
+    pair_ok = (dist > np.abs(rho[:, None] - rho[None, :])) & (dist > tol)
 
     per_disk: list[list[tuple[Point, WitnessKind]]] = [[] for _ in range(m)]
 
@@ -355,26 +571,19 @@ def vertex_sets(acs: Acs, radius: float, *, samples: int = 720, tol: float = TOL
                 return
         bucket.append((pt, kind))
 
-    for pt, r in found:
-        kind: WitnessKind = (
-            "boundary_crossing" if abs(pt.norm() - radius) <= tol else "interior_vertex"
-        )
-        owners, _ = _owners(acs, pt, tol)
-        for k in owners:
-            add(k, pt, kind)
+    def add_all(px, py, owner_pt, owner_disk, kinds) -> None:
+        pts = [Point(float(x), float(y)) for x, y in zip(px, py)]
+        for p, k in zip(owner_pt.tolist(), owner_disk.tolist()):
+            add(int(live[k]), pts[p], kinds[p])
 
-    thetas, profile = _rim_profile(acs, radius, samples)
-    for a in range(m):
-        for b in range(a + 1, m):
-            if not pair_ok[a, b]:
-                continue
-            for theta in _pair_rim_roots(acs, a, b, radius, thetas, profile[a] - profile[b]):
-                pt = Point(radius * math.cos(theta), radius * math.sin(theta))
-                dmin, _ = delta_min(acs, pt)
-                if delta(acs.disks[a], pt) <= dmin + tol and delta(acs.disks[b], pt) <= dmin + tol:
-                    owners, _ = _owners(acs, pt, tol)
-                    for k in owners:
-                        add(k, pt, "boundary_crossing")
+    vx, vy = _interior_vertices(cx, cy, rho, pair_ok, radius, tol)
+    on_rim = np.abs(np.hypot(vx, vy) - radius) <= tol
+    kinds = ["boundary_crossing" if b else "interior_vertex" for b in on_rim.tolist()]
+    add_all(vx, vy, *_owner_pairs(vx, vy, cx, cy, rho, tol), kinds)
+
+    ia, ib = np.nonzero(np.triu(pair_ok, 1))
+    px, py, owner_pt, owner_disk = _rim_witnesses(cx, cy, rho, ia, ib, radius, samples, tol)
+    add_all(px, py, owner_pt, owner_disk, ["boundary_crossing"] * px.size)
 
     out = []
     for k in range(m):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,13 +163,20 @@ def per_disk_alpha(cfg: PupilConfig, *, samples: int = 720,
     Values are computed per deduplicated disk and fanned back out to every
     absorbed (i, j) label; disks whose cells contribute no witness (they miss
     the objective) map to None ("unconstrained") for all their labels."""
-    data = _witness_data(cfg, samples=samples, tol=tol)
-    out: dict[tuple[int, int], float | None] = {}
-    for k, disk in enumerate(data.acs.disks):
-        base = data.disk_alpha[k]
-        for (i, j) in disk.labels():
-            out[(i, j)] = base
-    return out
+    return _per_pair(_witness_data(cfg, samples=samples, tol=tol))
+
+
+@lru_cache(maxsize=8)
+def _pair_keys(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    return tuple(tuple((i, j) for j in range(n)) for i in range(n))
+
+
+def _per_pair(data: _WitnessData) -> dict[tuple[int, int], float | None]:
+    """Fan each deduplicated disk's value out to every (i, j) label it
+    absorbed.  Reports of the same pupil count share the key tuples."""
+    keys = _pair_keys(data.acs.n)
+    return {keys[i][j]: data.disk_alpha[k]
+            for k, disk in enumerate(data.acs.disks) for i, j in disk.labels()}
 
 
 def _circle_intersections(c1: Point, r1: float, c2: Point, r2: float) -> list[Point]:
@@ -193,6 +201,21 @@ def _circle_intersections(c1: Point, r1: float, c2: Point, r2: float) -> list[Po
     return [Point(mx + ox, my - oy), Point(mx - ox, my + oy)]
 
 
+def _exposed(centers: np.ndarray, radii: np.ndarray, pt: Point, tol: float) -> bool:
+    """Whether points arbitrarily close to ``pt``, a boundary point covered
+    to within ``tol``, escape every disk through it: the inward normals of
+    those disks leave a gap of directions of at least pi.  Two circles always
+    do; three or more tangent-level disks (a cocircular lattice vertex) can
+    close around the point."""
+    d = np.hypot(centers[:, 0] - pt.x, centers[:, 1] - pt.y)
+    through = np.flatnonzero((np.abs(d - radii) <= tol) & (radii > tol))
+    if through.size < 3:
+        return True
+    angles = sorted(math.atan2(centers[k, 1] - pt.y, centers[k, 0] - pt.x) for k in through)
+    gaps = [b - a for a, b in zip(angles, angles[1:])] + [angles[0] + 2.0 * math.pi - angles[-1]]
+    return max(gaps) >= math.pi - 1e-9
+
+
 def max_objective(cfg: PupilConfig, *, tol: float = TOL) -> float:
     """Largest objective radius the fixed configuration covers.
 
@@ -201,7 +224,8 @@ def max_objective(cfg: PupilConfig, *, tol: float = TOL) -> float:
     distance over that circle has the closed form |center norm - radius| -
     other radius, so containment is an exact test.  Otherwise the answer is
     the smallest norm among pairwise circle intersection points that no disk
-    strictly covers (the corners of the union boundary)."""
+    strictly covers and that the disks through them leave exposed (the
+    corners of the union boundary)."""
     acs = build_acs(cfg)
     centers = acs.centers_array()
     radii = acs.radii_array()
@@ -231,7 +255,7 @@ def max_objective(cfg: PupilConfig, *, tol: float = TOL) -> float:
                 if pt.norm() >= best:
                     continue
                 dmin, _ = delta_min(acs, pt)
-                if dmin >= -tol:
+                if dmin >= -tol and _exposed(centers, radii, pt, tol):
                     best = pt.norm()
     if not math.isfinite(best):
         # No exposed corner: the union boundary near the origin is the origin
@@ -247,11 +271,6 @@ def analyze(cfg: PupilConfig, *, samples: int = 720, tol: float = TOL) -> Covera
     the maximal covered objective radius (0.0 when nothing is covered)."""
     data = _witness_data(cfg, samples=samples, tol=tol)
     covered = data.worst_value <= tol
-    per_disk: dict[tuple[int, int], float | None] = {}
-    for k, disk in enumerate(data.acs.disks):
-        base = data.disk_alpha[k]
-        for (i, j) in disk.labels():
-            per_disk[(i, j)] = base
     try:
         r_star = max_objective(cfg, tol=tol)
     except NoCoverage:
@@ -260,6 +279,6 @@ def analyze(cfg: PupilConfig, *, samples: int = 720, tol: float = TOL) -> Covera
         covered=covered,
         witness=None if covered else data.worst_point,
         alpha_star=data.worst_value,
-        per_disk_alpha=per_disk,
+        per_disk_alpha=_per_pair(data),
         r_star=r_star,
     )

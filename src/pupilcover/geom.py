@@ -15,7 +15,7 @@ TOL = 1e-9
 MERGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A point in the plane.  Coordinates must be finite."""
 
@@ -39,7 +39,7 @@ class Point:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disk:
     """A closed disk with nonnegative radius."""
 
@@ -51,7 +51,7 @@ class Disk:
             raise ValueError(f"invalid disk radius {self.radius}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pupil:
     """A pupil: one of the small design disks.  Radius zero is legal."""
 

@@ -124,6 +124,9 @@ def _fixed_center_loop(cfg: PupilConfig, opts: OptimizerConfig, objective: str) 
         else:
             rho = solve_qp(QuadraticProgram(2.0 * math.pi * np.eye(n), np.zeros(n), rows, lb, ub))
         err = float(sum(current.radii)) - float(rho.sum())
+        if iteration >= 2 and err < 0.0 and pending.covered:
+            # The pass would raise the sum of a covering configuration.
+            return OptimizerTrace(entries, current)
         current = current.with_radii(np.maximum(rho, 0.0))
         pending = _entry(current, covered=False)
         # The stop test is suppressed on the very first pass so that a
@@ -146,7 +149,8 @@ def minimize_sum_radii(cfg: PupilConfig, opts: OptimizerConfig | None = None) ->
     objective covered.  Each pass recomputes the per-disk enlargements on the
     current radii and re-solves the linear program over the new radii; the
     loop stops once the improvement drops below epsilon (never on the first
-    pass).  The final configuration always covers."""
+    pass), or keeps the current configuration when a later pass would raise
+    the sum of a covering one.  The final configuration always covers."""
     return _fixed_center_loop(cfg, opts or OptimizerConfig(), "sum")
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,33 @@ def random_config(rng: np.random.Generator, n: int, radius: float = 1.0) -> Pupi
         for _ in range(n)
     ]
     return PupilConfig(pupils, radius)
+
+
+def near_collinear_start(seed: int) -> PupilConfig:
+    """Five pupils jittered about a random line through the origin, radii in
+    [0.1, 0.3], R = 1: the starts of acceptance criterion 10."""
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0, np.pi)
+    u = np.array([np.cos(angle), np.sin(angle)])
+    pupils = []
+    for _ in range(5):
+        t = rng.uniform(-0.8, 0.8)
+        jitter = rng.normal(0, 0.03, 2)
+        cx, cy = t * u + jitter
+        pupils.append(Pupil(Point(float(cx), float(cy)), float(rng.uniform(0.1, 0.3))))
+    return PupilConfig(pupils, 1.0)
+
+
+def g4_lattice(kind: str, rho: float, radius: float) -> PupilConfig:
+    """The 4 x 4 patch of the unit square or triangular lattice, all radii rho."""
+    pts = []
+    for j in range(4):
+        for i in range(4):
+            if kind == "square":
+                pts.append(Point(float(i), float(j)))
+            else:
+                pts.append(Point(i + 0.5 * j, j * math.sqrt(3.0) / 2.0))
+    return PupilConfig([Pupil(p, rho) for p in pts], radius)
 
 
 @pytest.fixture

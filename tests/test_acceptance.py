@@ -40,7 +40,7 @@ from pupilcover import (
     verify_difference_cover,
 )
 from pupilcover.geom import Acs, AcsDisk, Disk
-from tests.conftest import random_config
+from tests.conftest import near_collinear_start, random_config
 from tests.test_solver import _enumerate_vertices, _projected_gradient
 
 
@@ -263,16 +263,7 @@ def test_10_relocation_pipeline_ordering():
     wins = 0
     results = []
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        angle = rng.uniform(0, np.pi)
-        u = np.array([np.cos(angle), np.sin(angle)])
-        pupils = []
-        for _ in range(5):
-            t = rng.uniform(-0.8, 0.8)
-            jitter = rng.normal(0, 0.03, 2)
-            cx, cy = t * u + jitter
-            pupils.append(Pupil(Point(float(cx), float(cy)), float(rng.uniform(0.1, 0.3))))
-        cfg = PupilConfig(pupils, 1.0)
+        cfg = near_collinear_start(seed)
         opts = OptimizerConfig(epsilon=1e-6, relocation_iterations=15)
         plain = minimize_area(cfg, opts)
         moved = move_pupils(cfg, opts).final_config

@@ -1,9 +1,12 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import pupilcover.coverage
 from pupilcover import (
+    TOL,
     ConcentricDisks,
     DegenerateTriple,
     Disk,
@@ -11,16 +14,21 @@ from pupilcover import (
     Point,
     Pupil,
     PupilConfig,
+    VertexSet,
+    alpha_star,
     bisector,
     bisector_point,
     boundary_crossings,
     build_acs,
+    decide,
     delta,
     delta_min,
     is_global_vertex,
+    per_disk_alpha,
     tri_disk_vertices,
     vertex_sets,
 )
+from tests.conftest import g4_lattice
 
 
 def _random_disk_pair(rng, distinct_radii=True):
@@ -335,3 +343,122 @@ def test_vertex_reproduced_by_grid_scan(rng):
             if ok:
                 break
         assert ok, f"no three-way near-tie found near ({vx}, {vy})"
+
+
+def _reference_vertex_sets(acs, radius, *, samples=720, tol=TOL):
+    """Witness sets built one triple and one pair at a time from the public
+    scalar pieces: ``tri_disk_vertices`` and ``is_global_vertex`` for the
+    vertices, ``boundary_crossings`` for the rim, owners by ``delta_min``."""
+    disks = acs.disks
+
+    def pair_ok(a, b):
+        dist = disks[a].center.distance_to(disks[b].center)
+        return dist > abs(disks[a].radius - disks[b].radius) and dist > tol
+
+    found = []
+    for a, b, c in combinations(range(acs.size), 3):
+        if not (pair_ok(a, b) and pair_ok(a, c) and pair_ok(b, c)):
+            continue
+        try:
+            sols = tri_disk_vertices(disks[a], disks[b], disks[c], tol=tol)
+        except DegenerateTriple:
+            continue
+        for pt, r in sols:
+            if pt.norm() <= radius + tol and is_global_vertex(acs, pt, r, tol=tol):
+                on_rim = abs(pt.norm() - radius) <= tol
+                found.append((pt, "boundary_crossing" if on_rim else "interior_vertex"))
+    for a, b in combinations(range(acs.size), 2):
+        if pair_ok(a, b):
+            found += [(pt, "boundary_crossing")
+                      for pt in boundary_crossings(acs, a, b, radius, samples=samples, tol=tol)]
+
+    per_disk = [[] for _ in disks]
+    for pt, kind in found:
+        dmin, _ = delta_min(acs, pt)
+        for k, disk in enumerate(disks):
+            if delta(disk, pt) > dmin + tol:
+                continue
+            bucket = per_disk[k]
+            same = [i for i, (q, _) in enumerate(bucket)
+                    if abs(q.x - pt.x) <= 1e-8 and abs(q.y - pt.y) <= 1e-8]
+            if not same:
+                bucket.append((pt, kind))
+            elif kind == "boundary_crossing":
+                bucket[same[0]] = (bucket[same[0]][0], kind)
+    return [VertexSet(k, tuple(sorted(b, key=lambda pk: (math.atan2(pk[0].y, pk[0].x),
+                                                         pk[0].norm()))))
+            for k, b in enumerate(per_disk)]
+
+
+def _equivalence_configs():
+    rng = np.random.default_rng(31337)
+    cfgs = []
+    for n in (3, 4, 5, 6, 7):
+        for _ in range(2):
+            pupils = [Pupil(Point(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))),
+                            float(rng.uniform(0.0, 0.3))) for _ in range(n)]
+            cfgs.append(PupilConfig(pupils, 1.0))
+    # at exactly the covering radius: merged concentric disks, equal radii on
+    # lines, cocircular vertices shared by three or four cells
+    cfgs.append(g4_lattice("square", math.sqrt(2.0) / 4.0, 2.5))
+    cfgs.append(g4_lattice("triangular", 1.0 / (2.0 * math.sqrt(3.0)), 2.3))
+    return cfgs
+
+
+def _assert_same_sets(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.disk == w.disk
+        assert len(g.points) == len(w.points), (g.disk, g.points, w.points)
+        for (p, pk), (q, qk) in zip(g.points, w.points):
+            assert pk == qk
+            assert abs(p.x - q.x) <= 1e-9 and abs(p.y - q.y) <= 1e-9
+
+
+@pytest.mark.parametrize("cfg", _equivalence_configs(), ids=lambda c: f"n{c.n}")
+def test_batched_vertex_sets_match_scalar_reference(cfg, monkeypatch):
+    acs = build_acs(cfg)
+    radius = cfg.objective_radius
+    reference = _reference_vertex_sets(acs, radius)
+    _assert_same_sets(vertex_sets(acs, radius), reference)
+
+    got = (decide(cfg), alpha_star(cfg), per_disk_alpha(cfg))
+    monkeypatch.setattr(pupilcover.coverage, "vertex_sets", lambda *args, **kw: reference)
+    want = (decide(cfg), alpha_star(cfg), per_disk_alpha(cfg))
+    assert got[0][0] == want[0][0]
+    assert got[1] == pytest.approx(want[1], abs=1e-12)
+    assert got[2].keys() == want[2].keys()
+    for key, value in got[2].items():
+        assert (value is None) == (want[2][key] is None), key
+        if value is not None:
+            assert value == pytest.approx(want[2][key], abs=1e-12)
+
+
+def test_batched_vertex_sets_collinear_distinct_radii():
+    acs = _acs_of_disks([
+        Disk(Point(-0.1951573433245739, 0.0), 0.42211552),
+        Disk(Point(1.1930328243256465, 0.0), 0.19620233),
+        Disk(Point(1.4225585797777662, 0.0), 0.24651151),
+    ])
+    got = vertex_sets(acs, 3.0)
+    _assert_same_sets(got, _reference_vertex_sets(acs, 3.0))
+    assert any(kind == "interior_vertex" for vs in got for _, kind in vs.points)
+
+
+def test_vertex_sets_fewer_than_three_disks():
+    acs = _acs_of_disks([Disk(Point(-1, 0), 1.0), Disk(Point(1, 0), 1.0)])
+    got = vertex_sets(acs, 2.0)
+    assert all(kind == "boundary_crossing" for vs in got for _, kind in vs.points)
+    _assert_same_sets(got, _reference_vertex_sets(acs, 2.0))
+    far = _acs_of_disks([Disk(Point(5.0, 0), 0.2), Disk(Point(6.0, 0), 0.2)])
+    assert all(vs.points == () for vs in vertex_sets(far, 1.0))
+
+
+@pytest.mark.parametrize("disks", [
+    [Disk(Point(2.0, 2.0), r) for r in (0.1, 0.2, 0.3)],                        # concentric
+    [Disk(Point(0, 0), 1.0), Disk(Point(0.1, 0), 0.5), Disk(Point(0, 0.1), 0.3)],  # nested
+])
+def test_vertex_sets_no_surviving_pair_is_all_empty(disks):
+    vsets = vertex_sets(_acs_of_disks(disks), 1.0)
+    assert [vs.disk for vs in vsets] == [0, 1, 2]
+    assert all(vs.points == () for vs in vsets)

@@ -17,7 +17,7 @@ from pupilcover import (
     max_objective,
     per_disk_alpha,
 )
-from tests.conftest import random_config
+from tests.conftest import g4_lattice, random_config
 
 
 def two_pupil_example() -> PupilConfig:
@@ -227,3 +227,21 @@ def test_analyze_report_consistent():
     assert max(v for v in report.per_disk_alpha.values() if v is not None) == pytest.approx(
         report.alpha_star
     )
+
+
+@pytest.mark.parametrize("kind, rho, radius, expected", [
+    ("square", math.sqrt(2.0) / 4.0, 2.5, 3.5355339059327378),
+    ("triangular", 1.0 / (2.0 * math.sqrt(3.0)), 2.3, 2.886751345948129),
+])
+def test_max_objective_tangent_lattice_corners_are_covered(kind, rho, radius, expected):
+    """At exactly the covering radius four (square) or three (triangular)
+    disks meet at each lattice hole; those tie-level points are covered, not
+    exposed corners, so r_star matches a design grown by 1e-6."""
+    cfg = g4_lattice(kind, rho, radius)
+    assert decide(cfg)[0]
+    r_star = analyze(cfg).r_star
+    assert r_star == pytest.approx(expected, abs=1e-9)
+    grown = max_objective(cfg.with_radii([rho + 1e-6] * cfg.n))
+    assert grown == pytest.approx(r_star, abs=1e-4)
+    assert decide(PupilConfig(cfg.pupils, r_star * (1 - 1e-4)))[0]
+    assert not decide(PupilConfig(cfg.pupils, r_star + 1e-3))[0]

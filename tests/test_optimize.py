@@ -19,7 +19,7 @@ from pupilcover import (
     relocation_targets,
 )
 from pupilcover.optimize import _solve_relocation
-from tests.conftest import random_config
+from tests.conftest import near_collinear_start, random_config
 
 
 def test_minsum_single_pupil_reaches_half_radius():
@@ -225,3 +225,16 @@ def test_minsum_beats_exhaustive_minus_grid_slack(rng):
     heur = minimize_sum_radii(start)
     assert sum(heur.final_config.radii) >= sum(grid_best.radii) - 3 * theta - 1e-9
     assert decide(heur.final_config)[0] and decide(grid_best)[0]
+
+
+@pytest.mark.parametrize("loop", [minimize_sum_radii, minimize_area])
+def test_radius_loop_sum_never_rises_after_first_pass(loop):
+    """On the ten near-collinear starts of acceptance criterion 10 the sum of
+    radii is non-increasing from the second trace entry on: a pass that
+    would raise the sum of a covering configuration is not taken."""
+    opts = OptimizerConfig(epsilon=1e-6)
+    for seed in range(10):
+        trace = loop(near_collinear_start(seed), opts)
+        sums = [e.sum_of_radii for e in trace.iterations]
+        assert all(b <= a for a, b in zip(sums[1:], sums[2:])), (seed, sums)
+        assert trace.iterations[-1].covered
