@@ -6,6 +6,13 @@ objective, at crossings of the cell boundary with the objective rim, or at
 the rim point diametrically opposite the disk center when the cell owns it.
 Checking that finite witness set therefore decides coverage exactly, and its
 maximal additive distance is the minimal uniform disk enlargement.
+
+``build_analysis`` makes one ``Analysis`` per configuration from one ACS and
+one ``vertex_sets`` call: the witnesses as arrays with their owning disks and
+kinds, each disk's largest additive distance, and the worst witness.
+``decide``, ``alpha_star``, ``per_disk_alpha`` and ``analyze`` are views of
+it, as are the optimizer's relocation rows and the SVG witness marks, so a
+caller that needs several of them builds the witness set once.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .apollonius import VertexSet, vertex_sets
-from .geom import TOL, Acs, Point, PupilConfig, build_acs, delta, delta_min
+from .apollonius import _owner_pairs, vertex_sets
+from .geom import TOL, Acs, Point, PupilConfig, build_acs, delta_min
 
 
 class NoCoverage(ValueError):
@@ -36,64 +43,129 @@ class CoverageReport:
     r_star: float
 
 
-@dataclass(frozen=True)
-class _WitnessData:
+#: Kind codes of the witnesses of an ``Analysis``.
+INTERIOR_VERTEX, BOUNDARY_CROSSING, DIAMETRAL = 0, 1, 2
+_KIND_CODES = {"interior_vertex": INTERIOR_VERTEX, "boundary_crossing": BOUNDARY_CROSSING}
+
+
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """The witness analysis of one configuration, built once by
+    ``build_analysis``; every coverage quantity is a view of it.
+
+    Witnesses are grouped by owning ACS disk in disk order.  Within a disk
+    they follow ``vertex_sets`` (angle, then norm), and the disk's diametral
+    rim fallback, when it has one, comes last.  A point owned by several
+    disks appears once per owner."""
+
+    cfg: PupilConfig
+    tol: float
     acs: Acs
-    vsets: list[VertexSet]
-    # per deduplicated disk: witness points incl. the diametral rim fallback
-    points: list[list[Point]]
-    # per deduplicated disk: max additive distance over its witnesses (None
-    # when the disk's cell contributes no witness, i.e. misses the objective)
-    disk_alpha: list[float | None]
+    xy: np.ndarray          # (k, 2) witness points
+    owner: np.ndarray       # (k,) owning ACS disk, nondecreasing
+    kind: np.ndarray        # (k,) INTERIOR_VERTEX, BOUNDARY_CROSSING or DIAMETRAL
+    # per ACS disk: max additive distance over its witnesses, NaN when its
+    # cell contributes no witness (it misses the objective)
+    disk_alpha: np.ndarray
+    worst_value: float      # max additive distance over all witnesses
     worst_point: Point | None
-    worst_value: float
+
+    @property
+    def covered(self) -> bool:
+        return self.worst_value <= self.tol
+
+    def decision(self) -> tuple[bool, Point | None]:
+        """``decide``'s answer: (covered, uncovered witness or None)."""
+        if _covers_trivially(self.cfg) or self.covered:
+            return True, None
+        return False, self.worst_point
+
+    def per_pair(self) -> dict[tuple[int, int], float | None]:
+        """Each disk's value fanned out to every (i, j) label it absorbed;
+        reports of the same pupil count share the key tuples."""
+        keys = _pair_keys(self.acs.n)
+        alpha = [None if math.isnan(a) else a for a in self.disk_alpha.tolist()]
+        return {keys[i][j]: alpha[k]
+                for k, disk in enumerate(self.acs.disks) for i, j in disk.labels()}
+
+    def vertex_witnesses(self) -> list[list[Point]]:
+        """Per ACS disk, its ``vertex_sets`` witnesses (no diametral
+        fallback), in order."""
+        out: list[list[Point]] = [[] for _ in range(self.acs.size)]
+        keep = self.kind != DIAMETRAL
+        for k, (x, y) in zip(self.owner[keep].tolist(), self.xy[keep].tolist()):
+            out[k].append(Point(x, y))
+        return out
+
+    def unique_points(self) -> np.ndarray:
+        """The distinct ``vertex_sets`` witnesses as an (u, 2) array: in
+        witness order, a point within 1e-9 in both coordinates of an earlier
+        kept point is dropped."""
+        pts = self.xy[self.kind != DIAMETRAL]
+        near = (np.abs(pts[:, None, 0] - pts[None, :, 0]) <= 1e-9) \
+            & (np.abs(pts[:, None, 1] - pts[None, :, 1]) <= 1e-9)
+        keep = np.ones(len(pts), dtype=bool)
+        for i in range(len(pts)):
+            if keep[i]:
+                keep[i + 1:] &= ~near[i, i + 1:]
+        return pts[keep]
 
 
-def _diametral_fallback(acs: Acs, k: int, radius: float, tol: float) -> Point | None:
-    """Rim point farthest from disk k's center, when disk k attains the
-    global minimum there.  For an origin-centered disk the additive distance
-    is constant on the rim, so any owned rim point serves; (radius, 0) is
-    owned exactly when the disk owns the whole rim without crossings, which
-    is the only case where the fallback is needed."""
-    d = acs.disks[k]
-    cn = d.center.norm()
-    if cn <= tol:
-        pt = Point(radius, 0.0)
-    else:
-        pt = Point(-radius * d.center.x / cn, -radius * d.center.y / cn)
-    dmin, _ = delta_min(acs, pt)
-    if delta(d, pt) <= dmin + tol:
-        return pt
-    return None
+def _covers_trivially(cfg: PupilConfig) -> bool:
+    """A pupil of radius at least half the objective's makes its own
+    difference disk cover the objective."""
+    return any(2.0 * p.radius >= cfg.objective_radius for p in cfg.pupils)
 
 
-def _witness_data(cfg: PupilConfig, *, samples: int = 720, tol: float = TOL) -> _WitnessData:
-    acs = build_acs(cfg)
+def _diametral_fallbacks(acs: Acs, radius: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every disk's rim point farthest from its center, and whether the disk
+    attains the global minimum there.  For an origin-centered disk the
+    additive distance is constant on the rim, so any owned rim point serves;
+    (radius, 0) is owned exactly when the disk owns the whole rim without
+    crossings, which is the only case where the fallback is needed."""
+    centers, radii = acs.centers_array(), acs.radii_array()
+    norms = np.hypot(centers[:, 0], centers[:, 1])
+    at_origin = norms <= tol
+    pts = -radius * centers / np.where(at_origin, 1.0, norms)[:, None]
+    pts[at_origin] = (radius, 0.0)
+    pt, dk = _owner_pairs(pts[:, 0], pts[:, 1], centers[:, 0], centers[:, 1], radii, tol)
+    owned = np.zeros(acs.size, dtype=bool)
+    owned[pt[pt == dk]] = True
+    return pts, owned
+
+
+def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None, samples: int = 720,
+                   tol: float = TOL) -> Analysis:
+    """The witness analysis of ``cfg``: one ``vertex_sets`` call on its ACS
+    (``acs`` when the caller has built it), each disk's diametral fallback
+    unless one of its witnesses lies within 1e-8 of it, and the additive
+    distance of every witness to its owner."""
+    acs = build_acs(cfg) if acs is None else acs
     radius = cfg.objective_radius
-    vsets = vertex_sets(acs, radius, samples=samples, tol=tol)
+    flat = [(p.x, p.y, vs.disk, _KIND_CODES[kind])
+            for vs in vertex_sets(acs, radius, samples=samples, tol=tol) for p, kind in vs.points]
+    table = np.array(flat, dtype=float).reshape(-1, 4)
+    xy, owner = table[:, :2], table[:, 2].astype(np.intp)
+    kind = table[:, 3].astype(np.intp)
 
-    points: list[list[Point]] = []
-    disk_alpha: list[float | None] = []
-    worst_pt: Point | None = None
-    worst_val = -math.inf
-    for k, vs in enumerate(vsets):
-        pts = [p for p, _ in vs.points]
-        fb = _diametral_fallback(acs, k, radius, tol)
-        if fb is not None and not any(
-            abs(fb.x - p.x) <= 1e-8 and abs(fb.y - p.y) <= 1e-8 for p in pts
-        ):
-            pts.append(fb)
-        points.append(pts)
-        if pts:
-            vals = [delta(acs.disks[k], p) for p in pts]
-            best = max(vals)
-            disk_alpha.append(best)
-            if best > worst_val:
-                worst_val = best
-                worst_pt = pts[vals.index(best)]
-        else:
-            disk_alpha.append(None)
-    return _WitnessData(acs, vsets, points, disk_alpha, worst_pt, worst_val)
+    fb, owned = _diametral_fallbacks(acs, radius, tol)
+    owned[owner[(np.abs(xy - fb[owner]) <= 1e-8).all(axis=1)]] = False
+    extra = np.flatnonzero(owned)
+    order = np.argsort(np.concatenate([owner, extra]), kind="stable")
+    xy = np.concatenate([xy, fb[extra]])[order]
+    owner = np.concatenate([owner, extra])[order]
+    kind = np.concatenate([kind, np.full(extra.size, DIAMETRAL)])[order]
+
+    centers, radii = acs.centers_array(), acs.radii_array()
+    values = np.hypot(xy[:, 0] - centers[owner, 0], xy[:, 1] - centers[owner, 1]) - radii[owner]
+    disk_alpha = np.full(acs.size, np.nan)
+    np.fmax.at(disk_alpha, owner, values)
+    if values.size:
+        w = int(np.argmax(values))
+        worst_value, worst_point = float(values[w]), Point(float(xy[w, 0]), float(xy[w, 1]))
+    else:
+        worst_value, worst_point = -math.inf, None
+    return Analysis(cfg, tol, acs, xy, owner, kind, disk_alpha, worst_value, worst_point)
 
 
 def decide(cfg: PupilConfig, *, samples: int = 720, tol: float = TOL) -> tuple[bool, Point | None]:
@@ -103,12 +175,9 @@ def decide(cfg: PupilConfig, *, samples: int = 720, tol: float = TOL) -> tuple[b
     answer is negative.  A pupil of radius at least half the objective's
     makes its own difference disk cover the objective, which short-circuits
     the computation."""
-    if any(2.0 * p.radius >= cfg.objective_radius for p in cfg.pupils):
+    if _covers_trivially(cfg):
         return True, None
-    data = _witness_data(cfg, samples=samples, tol=tol)
-    if data.worst_value <= tol:
-        return True, None
-    return False, data.worst_point
+    return build_analysis(cfg, samples=samples, tol=tol).decision()
 
 
 def coverage_oracle(cfg: PupilConfig, resolution: int) -> tuple[bool, Point | None]:
@@ -151,8 +220,7 @@ def alpha_star(cfg: PupilConfig, *, samples: int = 720, tol: float = TOL) -> flo
     for the objective to be covered (negative values mean slack).  Enlarging
     all disks uniformly leaves the proximity diagram unchanged, so the value
     is the maximal additive distance over the witness set."""
-    data = _witness_data(cfg, samples=samples, tol=tol)
-    return data.worst_value
+    return build_analysis(cfg, samples=samples, tol=tol).worst_value
 
 
 def per_disk_alpha(cfg: PupilConfig, *, samples: int = 720,
@@ -163,20 +231,12 @@ def per_disk_alpha(cfg: PupilConfig, *, samples: int = 720,
     Values are computed per deduplicated disk and fanned back out to every
     absorbed (i, j) label; disks whose cells contribute no witness (they miss
     the objective) map to None ("unconstrained") for all their labels."""
-    return _per_pair(_witness_data(cfg, samples=samples, tol=tol))
+    return build_analysis(cfg, samples=samples, tol=tol).per_pair()
 
 
 @lru_cache(maxsize=8)
 def _pair_keys(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((i, j) for j in range(n)) for i in range(n))
-
-
-def _per_pair(data: _WitnessData) -> dict[tuple[int, int], float | None]:
-    """Fan each deduplicated disk's value out to every (i, j) label it
-    absorbed.  Reports of the same pupil count share the key tuples."""
-    keys = _pair_keys(data.acs.n)
-    return {keys[i][j]: data.disk_alpha[k]
-            for k, disk in enumerate(data.acs.disks) for i, j in disk.labels()}
 
 
 def _circle_intersections(c1: Point, r1: float, c2: Point, r2: float) -> list[Point]:
@@ -216,7 +276,7 @@ def _exposed(centers: np.ndarray, radii: np.ndarray, pt: Point, tol: float) -> b
     return max(gaps) >= math.pi - 1e-9
 
 
-def max_objective(cfg: PupilConfig, *, tol: float = TOL) -> float:
+def max_objective(cfg: PupilConfig, *, tol: float = TOL, acs: Acs | None = None) -> float:
     """Largest objective radius the fixed configuration covers.
 
     If the origin-centered disk is contained in its own cell the answer is
@@ -225,8 +285,9 @@ def max_objective(cfg: PupilConfig, *, tol: float = TOL) -> float:
     other radius, so containment is an exact test.  Otherwise the answer is
     the smallest norm among pairwise circle intersection points that no disk
     strictly covers and that the disks through them leave exposed (the
-    corners of the union boundary)."""
-    acs = build_acs(cfg)
+    corners of the union boundary).  ``acs`` is the configuration's ACS
+    when the caller has built it."""
+    acs = build_acs(cfg) if acs is None else acs
     centers = acs.centers_array()
     radii = acs.radii_array()
     k0 = acs.origin_index()
@@ -269,16 +330,15 @@ def max_objective(cfg: PupilConfig, *, tol: float = TOL) -> float:
 def analyze(cfg: PupilConfig, *, samples: int = 720, tol: float = TOL) -> CoverageReport:
     """Full coverage report: decision, witness, enlargement quantities and
     the maximal covered objective radius (0.0 when nothing is covered)."""
-    data = _witness_data(cfg, samples=samples, tol=tol)
-    covered = data.worst_value <= tol
+    an = build_analysis(cfg, samples=samples, tol=tol)
     try:
-        r_star = max_objective(cfg, tol=tol)
+        r_star = max_objective(cfg, tol=tol, acs=an.acs)
     except NoCoverage:
         r_star = 0.0
     return CoverageReport(
-        covered=covered,
-        witness=None if covered else data.worst_point,
-        alpha_star=data.worst_value,
-        per_disk_alpha=_per_pair(data),
+        covered=an.covered,
+        witness=None if an.covered else an.worst_point,
+        alpha_star=an.worst_value,
+        per_disk_alpha=an.per_pair(),
         r_star=r_star,
     )

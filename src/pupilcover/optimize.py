@@ -5,6 +5,12 @@ linear or quadratic program over the pupil radii until the summed radii stop
 shrinking) and fixed radii (relocate centers by least squares toward the
 current witness points).  A grid exhaustive search provides an approximation
 baseline with an additive error bound of (pupil count) * (grid step).
+
+Each pass of either family builds one witness analysis of the current
+configuration (``coverage.build_analysis``) and reads everything it needs
+from it: the per-disk enlargements, or the relocation rows together with
+the trace's coverage flag.  ``move_pupils`` with k passes therefore builds
+k + 1 witness sets, the last one only for the final configuration's flag.
 """
 
 from __future__ import annotations
@@ -14,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apollonius import vertex_sets
-from .coverage import decide, per_disk_alpha
-from .geom import TOL, Point, Pupil, PupilConfig, build_acs
+from .coverage import Analysis, build_analysis, decide, per_disk_alpha
+from .geom import TOL, Point, Pupil, PupilConfig
 from .solver import LinearProgram, QuadraticProgram, solve_lp, solve_qp
 
 
@@ -165,20 +170,23 @@ def relocation_targets(cfg: PupilConfig) -> list[tuple[int, int, Point]]:
     triple per off-diagonal pair label owning the witness.  Labels of merged
     equal-radius disks share the representative's witnesses; strictly smaller
     merged labels have empty cells and contribute nothing."""
-    acs = build_acs(cfg)
-    vsets = vertex_sets(acs, cfg.objective_radius)
+    return _relocation_rows(build_analysis(cfg))
+
+
+def _relocation_rows(an: Analysis) -> list[tuple[int, int, Point]]:
+    """``relocation_targets`` of the analysed configuration, ordered by disk,
+    then label, then witness."""
+    radii = an.cfg.radii
     rows: list[tuple[int, int, Point]] = []
-    for k, disk in enumerate(acs.disks):
-        pts = [p for p, _ in vsets[k].points]
+    for disk, pts in zip(an.acs.disks, an.vertex_witnesses()):
         if not pts:
             continue
         for (i, j) in disk.labels():
             if i == j:
                 continue  # difference of a center with itself carries no gradient
-            if cfg.pupils[i].radius + cfg.pupils[j].radius < disk.radius - 1e-12:
+            if radii[i] + radii[j] < disk.radius - 1e-12:
                 continue
-            for p in pts:
-                rows.append((i, j, p))
+            rows.extend((i, j, p) for p in pts)
     return rows
 
 
@@ -233,15 +241,17 @@ def move_pupils(cfg: PupilConfig, opts: OptimizerConfig | None = None) -> Optimi
     a warning."""
     opts = opts or OptimizerConfig()
     current = cfg
-    entries = [_entry(current, covered=decide(current)[0])]
+    an = build_analysis(current)
+    entries = [_entry(current, covered=an.decision()[0])]
     warning = None
     for _ in range(opts.relocation_iterations):
-        rows = relocation_targets(current)
+        rows = _relocation_rows(an)
         if not rows:
             warning = "no off-diagonal witness rows; centers left unchanged"
             break
         current = current.with_centers(_solve_relocation(current, rows, opts.gauge))
-        entries.append(_entry(current, covered=decide(current)[0]))
+        an = build_analysis(current)
+        entries.append(_entry(current, covered=an.decision()[0]))
     return OptimizerTrace(entries, current, warning)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .apollonius import vertex_sets
+from .coverage import build_analysis
 from .geom import PupilConfig, build_acs
 
 CANVAS = 1000.0
@@ -48,8 +48,8 @@ def render_svg(cfg: PupilConfig, layers=LAYERS) -> str:
         f'viewBox="0 0 {CANVAS:g} {CANVAS:g}">',
         f'<rect width="{CANVAS:g}" height="{CANVAS:g}" fill="#ffffff"/>',
     ]
+    acs = build_acs(cfg) if "acs" in wanted or "diagram" in wanted else None
     if "acs" in wanted:
-        acs = build_acs(cfg)
         for d in acs.disks:
             parts.append(
                 f'<circle class="acs" cx="{_fmt(px(d.center.x))}" cy="{_fmt(py(d.center.y))}" '
@@ -73,14 +73,8 @@ def render_svg(cfg: PupilConfig, layers=LAYERS) -> str:
             f'r="{_fmt(scale(radius))}" fill="none" stroke="#000000" stroke-width="4"/>'
         )
     if "diagram" in wanted:
-        acs = build_acs(cfg)
-        seen: list[tuple[float, float]] = []
-        for vs in vertex_sets(acs, radius):
-            for pt, _ in vs.points:
-                if any(abs(pt.x - sx) <= 1e-9 and abs(pt.y - sy) <= 1e-9 for sx, sy in seen):
-                    continue
-                seen.append((pt.x, pt.y))
-        seen.sort(key=lambda q: (math.atan2(q[1], q[0]), math.hypot(q[0], q[1])))
+        seen = sorted(build_analysis(cfg, acs=acs).unique_points().tolist(),
+                      key=lambda q: (math.atan2(q[1], q[0]), math.hypot(q[0], q[1])))
         arm = 6.0
         for sx, sy in seen:
             cx, cy = px(sx), py(sy)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +45,23 @@ def g4_lattice(kind: str, rho: float, radius: float) -> PupilConfig:
             else:
                 pts.append(Point(i + 0.5 * j, j * math.sqrt(3.0) / 2.0))
     return PupilConfig([Pupil(p, rho) for p in pts], radius)
+
+
+def count_calls(monkeypatch, home: str, name: str) -> list:
+    """Wrap ``pupilcover.<home>.<name>`` in every pupilcover module that
+    binds it, so calls from any module are seen; returns the list that
+    grows by one entry per call."""
+    orig = getattr(sys.modules[f"pupilcover.{home}"], name)
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("pupilcover") and mod.__dict__.get(name) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from pupilcover import (
     max_objective,
     per_disk_alpha,
 )
-from tests.conftest import g4_lattice, random_config
+from tests.conftest import count_calls, g4_lattice, random_config
 
 
 def two_pupil_example() -> PupilConfig:
@@ -245,3 +245,35 @@ def test_max_objective_tangent_lattice_corners_are_covered(kind, rho, radius, ex
     assert grown == pytest.approx(r_star, abs=1e-4)
     assert decide(PupilConfig(cfg.pupils, r_star * (1 - 1e-4)))[0]
     assert not decide(PupilConfig(cfg.pupils, r_star + 1e-3))[0]
+
+
+def test_analyze_builds_acs_and_witnesses_once(monkeypatch):
+    acs_calls = count_calls(monkeypatch, "geom", "build_acs")
+    vs_calls = count_calls(monkeypatch, "apollonius", "vertex_sets")
+    report = analyze(g4_lattice("square", 0.9 * math.sqrt(2.0) / 4.0, 2.5))
+    assert not report.covered and report.r_star > 0.0
+    assert len(acs_calls) == 1
+    assert len(vs_calls) == 1
+
+
+@pytest.mark.parametrize("kind, rho, radius", [
+    (kind, factor * rho, radius)
+    for kind, rho, radius in (("square", math.sqrt(2.0) / 4.0, 2.5),
+                              ("triangular", 1.0 / (2.0 * math.sqrt(3.0)), 2.3))
+    for factor in (0.9, 1.0, 1.1)
+])
+def test_views_of_one_analysis_agree_on_lattices(kind, rho, radius):
+    """On the g = 4 lattices below, at and above the covering radius,
+    ``analyze`` reports what ``decide``, ``alpha_star`` and
+    ``per_disk_alpha`` return on their own, and the largest per-disk value
+    is alpha*."""
+    cfg = g4_lattice(kind, rho, radius)
+    report = analyze(cfg)
+    a = alpha_star(cfg)
+    alphas = per_disk_alpha(cfg)
+    assert report.alpha_star == a
+    assert report.per_disk_alpha == alphas
+    assert max(v for v in alphas.values() if v is not None) == pytest.approx(a, abs=1e-12)
+    covered, witness = decide(cfg)
+    assert report.covered == (a <= 1e-9) == covered
+    assert report.witness == witness

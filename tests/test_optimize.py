@@ -18,8 +18,8 @@ from pupilcover import (
     relocation_objective,
     relocation_targets,
 )
-from pupilcover.optimize import _solve_relocation
-from tests.conftest import near_collinear_start, random_config
+from pupilcover.optimize import _entry, _solve_relocation
+from tests.conftest import count_calls, near_collinear_start, random_config
 
 
 def test_minsum_single_pupil_reaches_half_radius():
@@ -238,3 +238,39 @@ def test_radius_loop_sum_never_rises_after_first_pass(loop):
         sums = [e.sum_of_radii for e in trace.iterations]
         assert all(b <= a for a, b in zip(sums[1:], sums[2:])), (seed, sums)
         assert trace.iterations[-1].covered
+
+
+def test_move_builds_one_analysis_per_configuration(monkeypatch):
+    """k passes analyse the start and the k moved configurations once each:
+    k + 1 witness builds, where a decide plus a relocation_targets per
+    configuration would take 2k + 1."""
+    calls = count_calls(monkeypatch, "apollonius", "vertex_sets")
+    for k in (1, 3):
+        calls.clear()
+        trace = move_pupils(near_collinear_start(0), OptimizerConfig(relocation_iterations=k))
+        assert trace.warning is None and len(trace.iterations) == k + 1
+        assert len(calls) == k + 1
+
+
+def _move_by_public_views(cfg, opts):
+    """The relocation loop spelled out with ``decide`` and
+    ``relocation_targets``, which build a configuration's witnesses twice."""
+    current = cfg
+    entries = [_entry(current, decide(current)[0])]
+    for _ in range(opts.relocation_iterations):
+        rows = relocation_targets(current)
+        if not rows:
+            break
+        current = current.with_centers(_solve_relocation(current, rows, opts.gauge))
+        entries.append(_entry(current, decide(current)[0]))
+    return entries, current
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_move_matches_public_views(seed):
+    cfg = near_collinear_start(seed)
+    opts = OptimizerConfig(relocation_iterations=6)
+    trace = move_pupils(cfg, opts)
+    entries, final = _move_by_public_views(cfg, opts)
+    assert trace.iterations == entries
+    assert trace.final_config == final
