@@ -10,12 +10,14 @@ dropped first; that changes no witness.  The triple stage enumerates the
 remaining triples whose three pairs have a bisector and solves them in
 chunks: the closed-form equal-distance line and quadratic, a masked Newton
 polish, then a running global-minimum test over the disks.  The rim stage
-scans the pair differences on an angle grid in chunks of pairs and bisects
-all brackets at once.  Chunking keeps each temporary under 32 KB, so memory
-grows with the disk count (the disks-by-samples rim profile is 420 KB at 73
-disks) but never with the number of triples or pairs; the work is still
-cubic in the disk count.  The scalar ``tri_disk_vertices`` and
-``is_global_vertex`` are the reference the batched path is tested against.
+is exact: a coarse angle grid drops, by a Lipschitz bound, the pairs whose
+disks never both come near the minimum at one sample, and every other pair's
+crossings are the unit roots of one quartic (a quadratic for equal radii),
+solved in closed form for all pairs at once and Newton-polished.  Chunking
+keeps each temporary under 32 KB, so memory grows with the disk count but
+never with the number of triples; the work is still cubic in the disk
+count.  The scalar ``tri_disk_vertices`` and ``is_global_vertex`` are the
+reference the batched path is tested against.
 """
 
 from __future__ import annotations
@@ -30,18 +32,26 @@ from .geom import TOL, Acs, Disk, Point, delta_min
 
 WitnessKind = Literal["interior_vertex", "boundary_crossing"]
 
-# Chunk sizes of the batched witness construction, in triples, pair-by-sample
-# cells and point-by-disk cells: a triple chunk's temporaries hold one float
-# per candidate (at most two per triple), the others one float per cell, so
-# each stays under 32 KB.
+# Chunk sizes of the batched witness construction, in triples and in
+# point-by-disk cells: a triple chunk's temporaries hold one float per
+# candidate (at most two per triple), the others one float per cell, so each
+# stays under 32 KB.
 _TRIPLE_CHUNK = 256
-_RIM_CELLS = 4096
 _OWNER_CELLS = 4096
 
-# Stopping rules of the Newton polish and of the rim bisection.
+# Stopping rules of the Newton polish of the vertices.
 _NEWTON_STEPS = 40
 _FINAL_RESIDUAL = 1e-9
-_BISECT_STEPS = 80
+
+# Rim crossings: samples of the pair pre-prune, the band about the unit
+# circle of candidate roots, Newton steps, and the residual kept (times
+# max(1, radius)).
+_RIM_SAMPLES = 256
+_ON_CIRCLE = 1e-4
+_RIM_NEWTON = 3
+_RIM_RESIDUAL = 1e-12
+_CUBE_UNITS = np.exp(2j * np.pi / 3.0 * np.arange(3))
+_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None]
 
 
 class ConcentricDisks(ValueError):
@@ -406,66 +416,90 @@ def _interior_vertices(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ok: np.n
     return tuple(np.concatenate(col) for col in zip(*found))
 
 
-def _rim_profile(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, radius: float,
-                 samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Additive distance of every disk to a uniform angle grid on the rim:
-    (angles, matrix of shape (disks, samples)), filled one disk at a time."""
-    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    px = radius * np.cos(thetas)
-    py = radius * np.sin(thetas)
-    profile = np.empty((cx.size, samples))
-    for k in range(cx.size):
-        np.hypot(px - cx[k], py - cy[k], out=profile[k])
-        profile[k] -= rho[k]
-    return thetas, profile
+def _quartic_roots(b, c, d, e) -> np.ndarray:
+    """The four roots of the monic complex quartics z^4 + b z^3 + c z^2 + d z
+    + e (arrays), by Ferrari's method: shape (4, quartics).  The resolvent
+    cubic is solved by Cardano's formula and its root of largest modulus
+    taken, which is nonzero unless the depressed quartic is y^4 = 0."""
+    s = b / 4.0
+    p = c - 6.0 * s * s
+    q = d - 2.0 * c * s + 8.0 * s ** 3
+    r = e - d * s + c * s * s - 3.0 * s ** 4
+    # Resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0, depressed by m = t - p/3.
+    cp, cq = -p * p / 12.0 - r, -p ** 3 / 108.0 + p * r / 3.0 - q * q / 8.0
+    h = np.sqrt(cq * cq / 4.0 + cp ** 3 / 27.0)
+    u = np.where(np.abs(h - cq / 2.0) >= np.abs(h + cq / 2.0), h - cq / 2.0, -h - cq / 2.0)
+    u = u ** (1.0 / 3.0) * _CUBE_UNITS[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(u == 0.0, 0.0, u - cp / (3.0 * u)) - p / 3.0
+        m = np.take_along_axis(m, np.abs(m).argmax(axis=0)[None], axis=0)[0]
+        w = np.sqrt(2.0 * m)
+        g = np.where(w == 0.0, 0.0, 2.0 * q / w)
+        return (_SIGNS[0] * w + _SIGNS[1] * np.sqrt(-(2.0 * p + 2.0 * m + _SIGNS[0] * g))) / 2.0 - s
 
 
-def _rim_roots(thetas: np.ndarray, profile: np.ndarray, cx: np.ndarray, cy: np.ndarray,
-               rho: np.ndarray, ia: np.ndarray, ib: np.ndarray,
-               radius: float) -> tuple[np.ndarray, np.ndarray]:
+def _rim_crossings(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ia: np.ndarray,
+               ib: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Angles where the additive distances of disks ia[p] and ib[p] are
-    equal on the rim, for every pair p: sign changes of their difference on
-    the grid of ``_rim_profile``, each bracket bisected.  Crossings closer
-    than one grid step can be missed, which is the documented fidelity limit.
-    Returns (pair index, angle): the exact grid hits, then the bisected
-    brackets, each ordered by pair and angle."""
-    step = 2.0 * math.pi / thetas.size
-    none = np.empty(0, dtype=np.intp)
-    hits, brackets = [(none, none)], [(none, none, np.empty(0))]
-    chunk = max(1, _RIM_CELLS // thetas.size)
-    for s in range(0, ia.size, chunk):
-        row = profile[ia[s:s + chunk]] - profile[ib[s:s + chunk]]
-        exact = np.abs(row) <= 1e-15
-        p, k = np.nonzero(exact)
-        hits.append((p + s, k))
-        p, k = np.nonzero(~exact & (row * np.roll(row, -1, axis=1) < 0.0))
-        brackets.append((p + s, k, row[p, k]))
-    hp, hk = (np.concatenate(col) for col in zip(*hits))
-    bp, bk, flo = (np.concatenate(col) for col in zip(*brackets))
+    equal on the rim |x| = radius, for every pair p: (pair index, angle), in
+    pair order.
 
-    # Bisect every bracket at once; a bracket stops at |f| <= 1e-15 or once
-    # its width drops to 1e-14.
-    lo = thetas[bk]
-    hi = lo + step
-    a, b = ia[bp], ib[bp]
-    live = np.arange(bp.size)
-    for _ in range(_BISECT_STEPS):
-        if live.size == 0:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        x, y = radius * np.cos(mid), radius * np.sin(mid)
-        al, bl = a[live], b[live]
-        fm = (np.hypot(x - cx[al], y - cy[al]) - rho[al]) \
-            - (np.hypot(x - cx[bl], y - cy[bl]) - rho[bl])
-        stop = (np.abs(fm) <= 1e-15) | (hi[live] - lo[live] <= 1e-14)
-        lo[live[stop]] = hi[live[stop]] = mid[stop]
-        same = ~stop & ((fm > 0) == (flo[live] > 0))
-        lo[live[same]], flo[live[same]] = mid[same], fm[same]
-        other = ~stop & ~same
-        hi[live[other]] = mid[other]
-        live = live[~stop]
+    With z = e^{i theta}, centers c_k as complex numbers over ``radius`` and
+    P_k(z) = -conj(c_k) z^2 + (1 + |c_k|^2) z - c_k (z |z - c_k|^2 on the
+    unit circle), |z - c_a| - |z - c_b| = d = (rho_a - rho_b) / radius
+    squared twice is the quartic (P_a - P_b)^2 - 2 d^2 z (P_a + P_b)
+    + d^4 z^2 = 0.  For equal radii it is (P_a - P_b)^2, whose unit roots
+    solve 2 |e| cos(theta - arg e) = |c_b|^2 - |c_a|^2, e = c_b - c_a.  Roots
+    near the circle and nearer this branch (difference 0) than the other
+    (-2 d) are Newton-polished on the unsquared difference and kept when it
+    ends within ``_RIM_RESIDUAL``; a root within 1e-8 of an earlier root of
+    its pair is the same crossing."""
+    ca = (cx[ia] + 1j * cy[ia]) / radius
+    cb = (cx[ib] + 1j * cy[ib]) / radius
+    gap = rho[ia] - rho[ib]
+    d2 = (gap / radius) ** 2
+    na, nb = ca.real ** 2 + ca.imag ** 2, cb.real ** 2 + cb.imag ** 2
+    e, u1 = cb - ca, na - nb
+    v0, v1 = -(ca + cb), 2.0 + na + nb
+    lead = e.conj() ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = _quartic_roots((2.0 * u1 * e.conj() - 2.0 * d2 * v0.conj()) / lead,
+                           (u1 * u1 + 2.0 * np.abs(e) ** 2 - 2.0 * d2 * v1 + d2 * d2) / lead,
+                           (2.0 * u1 * e - 2.0 * d2 * v0) / lead, e * e / lead)
+    theta = np.angle(z)
+    keep = np.abs(np.abs(z) - 1.0) <= _ON_CIRCLE
+    line = d2 == 0.0
+    cos_arc = -u1[line] / (2.0 * np.abs(e[line]))
+    arc = np.arccos(np.clip(cos_arc, -1.0, 1.0))
+    theta[:2, line] = np.angle(e[line]) + np.array([[1.0], [-1.0]]) * arc
+    keep[:2, line] = np.abs(cos_arc) <= 1.0 + _ON_CIRCLE
+    keep[2:, line] = False
 
-    return np.concatenate([hp, bp]), np.concatenate([thetas[hk], 0.5 * (lo + hi)])
+    pair, slot = np.nonzero(keep.T)
+    theta = theta.T[pair, slot]
+    a, b, gap = ia[pair], ib[pair], gap[pair]
+    best, res = theta, np.full(theta.size, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(_RIM_NEWTON + 1):
+            c, s = np.cos(theta), np.sin(theta)
+            xa, ya = radius * c - cx[a], radius * s - cy[a]
+            xb, yb = radius * c - cx[b], radius * s - cy[b]
+            da, db = np.hypot(xa, ya), np.hypot(xb, yb)
+            f = da - db - gap
+            if step == 0:
+                right = np.abs(f) <= np.abs(f + 2.0 * gap)
+            better = np.abs(f) < res
+            best, res = np.where(better, theta, best), np.where(better, np.abs(f), res)
+            if step < _RIM_NEWTON:
+                theta = theta - f / (radius * ((ya * c - xa * s) / da - (yb * c - xb * s) / db))
+    ok = np.flatnonzero(right & (res <= _RIM_RESIDUAL * max(1.0, radius)))
+    pair, theta = pair[ok], best[ok]
+    px, py = np.cos(theta), np.sin(theta)
+    dup = np.zeros(theta.size, dtype=bool)
+    for lag in (1, 2, 3):
+        dup[lag:] |= (pair[lag:] == pair[:-lag]) & (radius * np.abs(px[lag:] - px[:-lag]) <= 1e-8) \
+            & (radius * np.abs(py[lag:] - py[:-lag]) <= 1e-8)
+    return pair[~dup], theta[~dup]
 
 
 def _owner_pairs(px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray,
@@ -484,23 +518,29 @@ def _owner_pairs(px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray,
 
 
 def _rim_witnesses(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ia: np.ndarray,
-                   ib: np.ndarray, radius: float, samples: int, tol: float):
+                   ib: np.ndarray, radius: float, tol: float):
     """Rim crossings of the pair bisectors (ia[p], ib[p]) at which both disks
     of the pair attain the minimal additive distance over all given disks.
-    Returns the points' x and y, in the order of ``_rim_roots``, and their
+    Returns the points' x and y, in the order of ``_rim_crossings``, and their
     (point, disk) owner pairs."""
     if ia.size == 0:
         empty = np.empty(0, dtype=np.intp)
         return np.empty(0), np.empty(0), empty, empty
-    thetas, profile = _rim_profile(cx, cy, rho, radius, samples)
-    # Additive distances are 1-Lipschitz, so a disk that attains the minimum
-    # somewhere on the rim comes within one grid step of arc (plus tol) of
-    # the sampled minimum; pairs with any other disk keep no crossing.
-    reach = (profile <= profile.min(axis=0) + radius * 2.0 * math.pi / samples + 2.0 * tol) \
-        .any(axis=1)
-    use = reach[ia] & reach[ib]
+    # Additive distances are 1-Lipschitz, so two disks that both attain the
+    # minimum at a rim point come within twice the half arc step (plus 2 tol)
+    # of the sampled minimum at the nearest sample; other pairs keep none.
+    step = 2.0 * math.pi / _RIM_SAMPLES
+    grid = step * np.arange(_RIM_SAMPLES)
+    gp, gd = _owner_pairs(radius * np.cos(grid), radius * np.sin(grid), cx, cy, rho,
+                          radius * step + 2.0 * tol)
+    near = np.zeros((cx.size, _RIM_SAMPLES), dtype=bool)
+    near[gd, gp] = True
+    reach = near.any(axis=1)
+    use = np.flatnonzero(reach[ia] & reach[ib])
+    bits = np.packbits(near, axis=1).view(np.uint64)
+    use = use[(bits[ia[use]] & bits[ib[use]]).any(axis=1)]
     ia, ib = ia[use], ib[use]
-    pair, theta = _rim_roots(thetas, profile, cx, cy, rho, ia, ib, radius)
+    pair, theta = _rim_crossings(cx, cy, rho, ia, ib, radius)
     px, py = radius * np.cos(theta), radius * np.sin(theta)
     pt, dk = _owner_pairs(px, py, cx, cy, rho, tol)
     owns_a = np.zeros(px.size, dtype=bool)
@@ -515,18 +555,18 @@ def _rim_witnesses(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ia: np.ndarr
 
 
 def boundary_crossings(acs: Acs, a: int, b: int, radius: float, *,
-                       samples: int = 720, tol: float = TOL) -> list[Point]:
+                       tol: float = TOL) -> list[Point]:
     """Points of the objective rim (|x| = radius) where disks ``a`` and ``b``
     are at equal additive distance and that distance is the global minimum.
 
-    The difference of the two distance functions is scanned over a uniform
-    angle grid for sign changes and each bracket is bisected to tolerance.
-    """
+    The crossings are the unit roots of one quartic in e^{i theta} (a
+    quadratic for equal radii), Newton-polished on the unsquared condition;
+    see ``_rim_crossings``."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     c = acs.centers_array()
     px, py, _, _ = _rim_witnesses(c[:, 0], c[:, 1], acs.radii_array(), np.array([a]),
-                                  np.array([b]), radius, samples, tol)
+                                  np.array([b]), radius, tol)
     out = [Point(float(x), float(y)) for x, y in zip(px, py)]
     out.sort(key=lambda p: math.atan2(p.y, p.x))
     return out
@@ -541,7 +581,7 @@ class VertexSet:
     points: tuple[tuple[Point, WitnessKind], ...]
 
 
-def vertex_sets(acs: Acs, radius: float, *, samples: int = 720, tol: float = TOL) -> list[VertexSet]:
+def vertex_sets(acs: Acs, radius: float, *, tol: float = TOL) -> list[VertexSet]:
     """Witness sets for every ACS disk: equal-distance vertices of disk
     triples that are global minima inside the objective, plus rim crossings
     of all pair bisectors, each point assigned to every disk attaining the
@@ -582,7 +622,7 @@ def vertex_sets(acs: Acs, radius: float, *, samples: int = 720, tol: float = TOL
     add_all(vx, vy, *_owner_pairs(vx, vy, cx, cy, rho, tol), kinds)
 
     ia, ib = np.nonzero(np.triu(pair_ok, 1))
-    px, py, owner_pt, owner_disk = _rim_witnesses(cx, cy, rho, ia, ib, radius, samples, tol)
+    px, py, owner_pt, owner_disk = _rim_witnesses(cx, cy, rho, ia, ib, radius, tol)
     add_all(px, py, owner_pt, owner_disk, ["boundary_crossing"] * px.size)
 
     out = []

@@ -5,7 +5,10 @@ over (cell intersected with objective) only at cell vertices inside the
 objective, at crossings of the cell boundary with the objective rim, or at
 the rim point diametrically opposite the disk center when the cell owns it.
 Checking that finite witness set therefore decides coverage exactly, and its
-maximal additive distance is the minimal uniform disk enlargement.
+maximal additive distance is the minimal uniform disk enlargement.  No step
+samples: the vertices are polished roots of closed-form equations, and the
+rim crossings are the polished unit roots of one quartic per disk pair (see
+``apollonius``).
 
 ``build_analysis`` makes one ``Analysis`` per configuration from one ACS and
 one ``vertex_sets`` call: the witnesses as arrays with their owning disks and
@@ -134,8 +137,7 @@ def _diametral_fallbacks(acs: Acs, radius: float, tol: float) -> tuple[np.ndarra
     return pts, owned
 
 
-def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None, samples: int = 720,
-                   tol: float = TOL) -> Analysis:
+def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None, tol: float = TOL) -> Analysis:
     """The witness analysis of ``cfg``: one ``vertex_sets`` call on its ACS
     (``acs`` when the caller has built it), each disk's diametral fallback
     unless one of its witnesses lies within 1e-8 of it, and the additive
@@ -143,7 +145,7 @@ def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None, samples: int = 7
     acs = build_acs(cfg) if acs is None else acs
     radius = cfg.objective_radius
     flat = [(p.x, p.y, vs.disk, _KIND_CODES[kind])
-            for vs in vertex_sets(acs, radius, samples=samples, tol=tol) for p, kind in vs.points]
+            for vs in vertex_sets(acs, radius, tol=tol) for p, kind in vs.points]
     table = np.array(flat, dtype=float).reshape(-1, 4)
     xy, owner = table[:, :2], table[:, 2].astype(np.intp)
     kind = table[:, 3].astype(np.intp)
@@ -168,7 +170,7 @@ def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None, samples: int = 7
     return Analysis(cfg, tol, acs, xy, owner, kind, disk_alpha, worst_value, worst_point)
 
 
-def decide(cfg: PupilConfig, *, samples: int = 720, tol: float = TOL) -> tuple[bool, Point | None]:
+def decide(cfg: PupilConfig, *, tol: float = TOL) -> tuple[bool, Point | None]:
     """Is the objective covered by the union of the difference disks?
 
     Returns (covered, witness); the witness is an uncovered point when the
@@ -177,7 +179,7 @@ def decide(cfg: PupilConfig, *, samples: int = 720, tol: float = TOL) -> tuple[b
     the computation."""
     if _covers_trivially(cfg):
         return True, None
-    return build_analysis(cfg, samples=samples, tol=tol).decision()
+    return build_analysis(cfg, tol=tol).decision()
 
 
 def coverage_oracle(cfg: PupilConfig, resolution: int) -> tuple[bool, Point | None]:
@@ -215,23 +217,22 @@ def coverage_oracle(cfg: PupilConfig, resolution: int) -> tuple[bool, Point | No
     return True, None
 
 
-def alpha_star(cfg: PupilConfig, *, samples: int = 720, tol: float = TOL) -> float:
+def alpha_star(cfg: PupilConfig, *, tol: float = TOL) -> float:
     """Minimal uniform amount by which every difference-disk radius must grow
     for the objective to be covered (negative values mean slack).  Enlarging
     all disks uniformly leaves the proximity diagram unchanged, so the value
     is the maximal additive distance over the witness set."""
-    return build_analysis(cfg, samples=samples, tol=tol).worst_value
+    return build_analysis(cfg, tol=tol).worst_value
 
 
-def per_disk_alpha(cfg: PupilConfig, *, samples: int = 720,
-                   tol: float = TOL) -> dict[tuple[int, int], float | None]:
+def per_disk_alpha(cfg: PupilConfig, *, tol: float = TOL) -> dict[tuple[int, int], float | None]:
     """Per-pair minimal enlargement of each difference disk so that it keeps
     covering its own witnesses (signed; negative means the disk could shrink).
 
     Values are computed per deduplicated disk and fanned back out to every
     absorbed (i, j) label; disks whose cells contribute no witness (they miss
     the objective) map to None ("unconstrained") for all their labels."""
-    return build_analysis(cfg, samples=samples, tol=tol).per_pair()
+    return build_analysis(cfg, tol=tol).per_pair()
 
 
 @lru_cache(maxsize=8)
@@ -327,10 +328,10 @@ def max_objective(cfg: PupilConfig, *, tol: float = TOL, acs: Acs | None = None)
     return best
 
 
-def analyze(cfg: PupilConfig, *, samples: int = 720, tol: float = TOL) -> CoverageReport:
+def analyze(cfg: PupilConfig, *, tol: float = TOL) -> CoverageReport:
     """Full coverage report: decision, witness, enlargement quantities and
     the maximal covered objective radius (0.0 when nothing is covered)."""
-    an = build_analysis(cfg, samples=samples, tol=tol)
+    an = build_analysis(cfg, tol=tol)
     try:
         r_star = max_objective(cfg, tol=tol, acs=an.acs)
     except NoCoverage:
