@@ -1,23 +1,24 @@
 """Additively weighted proximity structure over the ACS disks.
 
 Only the pieces the covering algorithms need are built: pairwise bisectors,
-points at equal additive distance to three disks, and per-disk witness sets
-(vertices inside the objective plus cell-boundary crossings of its rim).
+points at equal additive distance to three disks, and the witness table:
+vertices inside the objective plus cell-boundary crossings of its rim, as
+arrays of points, owning disks and kind codes (``_witness_table``).
 
-``vertex_sets`` works on numpy arrays in two batched stages.  Disks that can
-own no point of the objective, or lie strictly inside another disk, are
-dropped first; that changes no witness.  The triple stage enumerates the
-remaining triples whose three pairs have a bisector and solves them in
-chunks: the closed-form equal-distance line and quadratic, a masked Newton
-polish, then a running global-minimum test over the disks.  The rim stage
-is exact: a coarse angle grid drops, by a Lipschitz bound, the pairs whose
-disks never both come near the minimum at one sample, and every other pair's
-crossings are the unit roots of one quartic (a quadratic for equal radii),
-solved in closed form for all pairs at once and Newton-polished.  Chunking
-keeps each temporary under 32 KB, so memory grows with the disk count but
-never with the number of triples; the work is still cubic in the disk
-count.  The scalar ``tri_disk_vertices`` and ``is_global_vertex`` are the
-reference the batched path is tested against.
+The table is built in two batched numpy stages.  Disks that can own no point
+of the objective, or lie strictly inside another disk, are dropped first;
+that changes no witness.  The triple stage enumerates the remaining triples
+whose three pairs have a bisector and solves them in chunks: the closed-form
+equal-distance line and quadratic, a masked Newton polish, then a running
+global-minimum test over the disks.  The rim stage is exact: a coarse angle
+grid drops, by a Lipschitz bound, the pairs whose disks never both come near
+the minimum at one sample, and every other pair's crossings are the unit
+roots of one quartic (a quadratic for equal radii), solved in closed form
+for all pairs at once and Newton-polished.  Chunking keeps each temporary
+under 32 KB, so memory grows with the disk count but never with the number
+of triples; the work is still cubic in the disk count.  ``vertex_sets`` is
+a per-disk view of the table.  The scalar ``tri_disk_vertices`` and
+``is_global_vertex`` are the reference the batched path is tested against.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ import numpy as np
 from .geom import TOL, Acs, Disk, Point, delta_min
 
 WitnessKind = Literal["interior_vertex", "boundary_crossing"]
+
+#: Kind codes of the witness table, and the ``WitnessKind`` of each.
+INTERIOR_VERTEX, BOUNDARY_CROSSING = 0, 1
+_KIND_NAMES: tuple[WitnessKind, ...] = ("interior_vertex", "boundary_crossing")
 
 # Chunk sizes of the batched witness construction, in triples and in
 # point-by-disk cells: a triple chunk's temporaries hold one float per
@@ -581,15 +586,40 @@ class VertexSet:
     points: tuple[tuple[Point, WitnessKind], ...]
 
 
-def vertex_sets(acs: Acs, radius: float, *, tol: float = TOL) -> list[VertexSet]:
-    """Witness sets for every ACS disk: equal-distance vertices of disk
-    triples that are global minima inside the objective, plus rim crossings
-    of all pair bisectors, each point assigned to every disk attaining the
-    minimum there.  Points exactly on the rim are classified as boundary
-    crossings.  Output order is canonical (disk index, then angle)."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    m = acs.size
+def _first_copies(xy: np.ndarray, owner: np.ndarray, gap: float) -> np.ndarray:
+    """For each row of the points ``xy`` (k, 2), the row it is a copy of, or
+    itself: in row order, a row within ``gap`` in both coordinates of an
+    earlier kept row of the same owner is a copy of the first such row."""
+    # Rows of one owner within gap in x are a run of the (owner, x) order,
+    # so the close pairs are found lag by lag until a lag has none.
+    by_x = np.lexsort((xy[:, 0], owner))
+    sx, so = xy[by_x, 0], owner[by_x]
+    pairs = [np.empty((2, 0), dtype=np.intp)]
+    for lag in range(1, by_x.size):
+        close = np.flatnonzero((so[lag:] == so[:-lag]) & (sx[lag:] - sx[:-lag] <= gap))
+        if close.size == 0:
+            break
+        pairs.append(np.sort([by_x[close], by_x[close + lag]], axis=0))
+    a, b = np.concatenate(pairs, axis=1)
+    close = np.abs(xy[a, 1] - xy[b, 1]) <= gap
+    into = np.arange(owner.size)
+    for j, i in sorted(zip(b[close].tolist(), a[close].tolist())):
+        if into[j] == j and into[i] == i:
+            into[j] = i
+    return into
+
+
+def _witness_table(acs: Acs, radius: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The witness set of every ACS disk as one table: points ``xy`` (k, 2),
+    owning disk ``owner`` (k,) and kind code ``kind`` (k,), one row per
+    (witness, owner), ordered by owner, then angle, then norm.
+
+    The rows are the equal-distance vertices of disk triples that are global
+    minima inside the objective, in triple order, then the rim crossings of
+    all pair bisectors, in pair order, each with every disk attaining the
+    minimum there.  A vertex within ``tol`` of the rim is a rim crossing.
+    A copy of an earlier row within 1e-8 (``_first_copies``) is dropped, and
+    the row it copies becomes a rim crossing if the copy is one."""
     centers = acs.centers_array()
     radii = acs.radii_array()
     live = _live_disks(centers, radii, radius, tol)
@@ -600,33 +630,30 @@ def vertex_sets(acs: Acs, radius: float, *, tol: float = TOL) -> list[VertexSet]
     dist = np.hypot(cx[:, None] - cx[None, :], cy[:, None] - cy[None, :])
     pair_ok = (dist > np.abs(rho[:, None] - rho[None, :])) & (dist > tol)
 
-    per_disk: list[list[tuple[Point, WitnessKind]]] = [[] for _ in range(m)]
-
-    def add(disk: int, pt: Point, kind: WitnessKind) -> None:
-        bucket = per_disk[disk]
-        for idx, (old, old_kind) in enumerate(bucket):
-            if abs(old.x - pt.x) <= 1e-8 and abs(old.y - pt.y) <= 1e-8:
-                if kind == "boundary_crossing" and old_kind == "interior_vertex":
-                    bucket[idx] = (old, "boundary_crossing")
-                return
-        bucket.append((pt, kind))
-
-    def add_all(px, py, owner_pt, owner_disk, kinds) -> None:
-        pts = [Point(float(x), float(y)) for x, y in zip(px, py)]
-        for p, k in zip(owner_pt.tolist(), owner_disk.tolist()):
-            add(int(live[k]), pts[p], kinds[p])
-
     vx, vy = _interior_vertices(cx, cy, rho, pair_ok, radius, tol)
+    vpt, vdk = _owner_pairs(vx, vy, cx, cy, rho, tol)
     on_rim = np.abs(np.hypot(vx, vy) - radius) <= tol
-    kinds = ["boundary_crossing" if b else "interior_vertex" for b in on_rim.tolist()]
-    add_all(vx, vy, *_owner_pairs(vx, vy, cx, cy, rho, tol), kinds)
-
     ia, ib = np.nonzero(np.triu(pair_ok, 1))
-    px, py, owner_pt, owner_disk = _rim_witnesses(cx, cy, rho, ia, ib, radius, tol)
-    add_all(px, py, owner_pt, owner_disk, ["boundary_crossing"] * px.size)
+    px, py, rpt, rdk = _rim_witnesses(cx, cy, rho, ia, ib, radius, tol)
 
-    out = []
-    for k in range(m):
-        pts = sorted(per_disk[k], key=lambda pk: (math.atan2(pk[0].y, pk[0].x), pk[0].norm()))
-        out.append(VertexSet(k, tuple(pts)))
-    return out
+    xy = np.column_stack([np.concatenate([vx[vpt], px[rpt]]), np.concatenate([vy[vpt], py[rpt]])])
+    owner = live[np.concatenate([vdk, rdk])]
+    kind = np.where(np.concatenate([on_rim[vpt], np.ones(rpt.size, dtype=bool)]),
+                    BOUNDARY_CROSSING, INTERIOR_VERTEX)
+    into = _first_copies(xy, owner, 1e-8)
+    kind[into[kind == BOUNDARY_CROSSING]] = BOUNDARY_CROSSING
+    keep = into == np.arange(into.size)
+    xy, owner, kind = xy[keep], owner[keep], kind[keep]
+    order = np.lexsort((np.hypot(xy[:, 0], xy[:, 1]), np.arctan2(xy[:, 1], xy[:, 0]), owner))
+    return xy[order], owner[order], kind[order]
+
+
+def vertex_sets(acs: Acs, radius: float, *, tol: float = TOL) -> list[VertexSet]:
+    """Witness sets for every ACS disk: its rows of ``_witness_table`` as
+    (Point, kind name) pairs, in table order (angle, then norm)."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    xy, owner, kind = _witness_table(acs, radius, tol)
+    points = [(Point(x, y), _KIND_NAMES[k]) for (x, y), k in zip(xy.tolist(), kind.tolist())]
+    ends = np.searchsorted(owner, np.arange(acs.size + 1)).tolist()
+    return [VertexSet(k, tuple(points[ends[k]:ends[k + 1]])) for k in range(acs.size)]

@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -32,16 +33,8 @@ class ConfigError(ValueError):
     """Malformed or invalid input configuration."""
 
 
-_OPTION_FIELDS = {
-    "epsilon": float,
-    "theta": float,
-    "max_iterations": int,
-    "min_radius": float,
-    "max_radius": float,
-    "forbid_overlap": bool,
-    "relocation_iterations": int,
-    "gauge": str,
-}
+#: The keys accepted under "options": the fields of OptimizerConfig.
+_OPTION_FIELDS = tuple(f.name for f in dataclasses.fields(OptimizerConfig))
 
 
 def _require_number(obj, key: str, context: str) -> float:
@@ -146,7 +139,7 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report(args, argv_echo, digest: str, result: dict, started: float) -> dict:
+def _report(argv_echo, digest: str, result: dict, started: float) -> dict:
     return {
         "schema": 1,
         "command": argv_echo,
@@ -175,7 +168,7 @@ def cmd_decide(args, argv_echo) -> int:
     cfg, _, digest = _read_config(args.config)
     covered, witness = coverage.decide(cfg)
     result = {"covered": covered, "witness": _witness_payload(witness)}
-    _emit(_report(args, argv_echo, digest, result, started), args.out)
+    _emit(_report(argv_echo, digest, result, started), args.out)
     return 0 if covered else 1
 
 
@@ -190,7 +183,7 @@ def cmd_alpha(args, argv_echo) -> int:
         "per_disk_alpha": _alpha_payload(report.per_disk_alpha),
         "r_star": report.r_star,
     }
-    _emit(_report(args, argv_echo, digest, result, started), args.out)
+    _emit(_report(argv_echo, digest, result, started), args.out)
     return 0
 
 
@@ -200,7 +193,7 @@ def _cmd_radius_opt(args, argv_echo, runner) -> int:
     opts = _options_from(args, options)
     trace = runner(cfg, opts)
     result = {"trace": _trace_payload(trace), "covered": trace.iterations[-1].covered}
-    _emit(_report(args, argv_echo, digest, result, started), args.out)
+    _emit(_report(argv_echo, digest, result, started), args.out)
     return 0
 
 
@@ -226,7 +219,7 @@ def cmd_exhaustive(args, argv_echo) -> int:
         "sum_of_radii": float(sum(best.radii)),
         "theta": opts.theta,
     }
-    _emit(_report(args, argv_echo, digest, result, started), args.out)
+    _emit(_report(argv_echo, digest, result, started), args.out)
     return 0
 
 
@@ -234,7 +227,7 @@ def cmd_maxobj(args, argv_echo) -> int:
     started = time.perf_counter()
     cfg, _, digest = _read_config(args.config)
     r_star = coverage.max_objective(cfg)
-    _emit(_report(args, argv_echo, digest, {"r_star": r_star}, started), args.out)
+    _emit(_report(argv_echo, digest, {"r_star": r_star}, started), args.out)
     return 0
 
 
@@ -243,7 +236,7 @@ def cmd_design_three(args, argv_echo) -> int:
     cfg = design.three_pupil_optimal(args.objective_radius)
     digest = _digest_params("design-three", args.objective_radius)
     result = {"design": serialize_config(cfg), "sum_of_radii": float(sum(cfg.radii))}
-    _emit(_report(args, argv_echo, digest, result, started), args.out)
+    _emit(_report(argv_echo, digest, result, started), args.out)
     return 0
 
 
@@ -258,7 +251,7 @@ def cmd_design_prime(args, argv_echo) -> int:
         "count": pd.count,
         "approximation_ratio": pd.approximation_ratio,
     }
-    _emit(_report(args, argv_echo, digest, result, started), args.out)
+    _emit(_report(argv_echo, digest, result, started), args.out)
     return 0
 
 

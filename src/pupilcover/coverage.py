@@ -11,11 +11,11 @@ rim crossings are the polished unit roots of one quartic per disk pair (see
 ``apollonius``).
 
 ``build_analysis`` makes one ``Analysis`` per configuration from one ACS and
-one ``vertex_sets`` call: the witnesses as arrays with their owning disks and
-kinds, each disk's largest additive distance, and the worst witness.
-``decide``, ``alpha_star``, ``per_disk_alpha`` and ``analyze`` are views of
-it, as are the optimizer's relocation rows and the SVG witness marks, so a
-caller that needs several of them builds the witness set once.
+one witness table (``apollonius._witness_table``: points, owning disks and
+kind codes), plus the diametral fallbacks, each disk's largest additive
+distance and the worst witness.  ``decide``, ``alpha_star``,
+``per_disk_alpha`` and ``analyze`` are views of it, as are the optimizer's
+relocation rows and the SVG witness marks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .apollonius import _owner_pairs, vertex_sets
+from .apollonius import (BOUNDARY_CROSSING, INTERIOR_VERTEX, _first_copies, _owner_pairs,
+                         _witness_table)
 from .geom import TOL, Acs, Point, PupilConfig, build_acs, delta_min
 
 
@@ -46,9 +47,9 @@ class CoverageReport:
     r_star: float
 
 
-#: Kind codes of the witnesses of an ``Analysis``.
-INTERIOR_VERTEX, BOUNDARY_CROSSING, DIAMETRAL = 0, 1, 2
-_KIND_CODES = {"interior_vertex": INTERIOR_VERTEX, "boundary_crossing": BOUNDARY_CROSSING}
+#: Kind code of a diametral fallback witness, after the two of the witness
+#: table (``apollonius.INTERIOR_VERTEX`` and ``BOUNDARY_CROSSING``).
+DIAMETRAL = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,9 +58,9 @@ class Analysis:
     ``build_analysis``; every coverage quantity is a view of it.
 
     Witnesses are grouped by owning ACS disk in disk order.  Within a disk
-    they follow ``vertex_sets`` (angle, then norm), and the disk's diametral
-    rim fallback, when it has one, comes last.  A point owned by several
-    disks appears once per owner."""
+    they follow the witness table (angle, then norm), and the disk's
+    diametral rim fallback, when it has one, comes last.  A point owned by
+    several disks appears once per owner."""
 
     cfg: PupilConfig
     tol: float
@@ -91,27 +92,13 @@ class Analysis:
         return {keys[i][j]: alpha[k]
                 for k, disk in enumerate(self.acs.disks) for i, j in disk.labels()}
 
-    def vertex_witnesses(self) -> list[list[Point]]:
-        """Per ACS disk, its ``vertex_sets`` witnesses (no diametral
-        fallback), in order."""
-        out: list[list[Point]] = [[] for _ in range(self.acs.size)]
-        keep = self.kind != DIAMETRAL
-        for k, (x, y) in zip(self.owner[keep].tolist(), self.xy[keep].tolist()):
-            out[k].append(Point(x, y))
-        return out
-
     def unique_points(self) -> np.ndarray:
-        """The distinct ``vertex_sets`` witnesses as an (u, 2) array: in
+        """The distinct witness-table points as an (u, 2) array: in
         witness order, a point within 1e-9 in both coordinates of an earlier
         kept point is dropped."""
         pts = self.xy[self.kind != DIAMETRAL]
-        near = (np.abs(pts[:, None, 0] - pts[None, :, 0]) <= 1e-9) \
-            & (np.abs(pts[:, None, 1] - pts[None, :, 1]) <= 1e-9)
-        keep = np.ones(len(pts), dtype=bool)
-        for i in range(len(pts)):
-            if keep[i]:
-                keep[i + 1:] &= ~near[i, i + 1:]
-        return pts[keep]
+        into = _first_copies(pts, np.zeros(len(pts), dtype=np.intp), 1e-9)
+        return pts[into == np.arange(len(pts))]
 
 
 def _covers_trivially(cfg: PupilConfig) -> bool:
@@ -138,18 +125,13 @@ def _diametral_fallbacks(acs: Acs, radius: float, tol: float) -> tuple[np.ndarra
 
 
 def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None, tol: float = TOL) -> Analysis:
-    """The witness analysis of ``cfg``: one ``vertex_sets`` call on its ACS
+    """The witness analysis of ``cfg``: the witness table of its ACS
     (``acs`` when the caller has built it), each disk's diametral fallback
     unless one of its witnesses lies within 1e-8 of it, and the additive
     distance of every witness to its owner."""
     acs = build_acs(cfg) if acs is None else acs
     radius = cfg.objective_radius
-    flat = [(p.x, p.y, vs.disk, _KIND_CODES[kind])
-            for vs in vertex_sets(acs, radius, tol=tol) for p, kind in vs.points]
-    table = np.array(flat, dtype=float).reshape(-1, 4)
-    xy, owner = table[:, :2], table[:, 2].astype(np.intp)
-    kind = table[:, 3].astype(np.intp)
-
+    xy, owner, kind = _witness_table(acs, radius, tol)
     fb, owned = _diametral_fallbacks(acs, radius, tol)
     owned[owner[(np.abs(xy - fb[owner]) <= 1e-8).all(axis=1)]] = False
     extra = np.flatnonzero(owned)

@@ -185,14 +185,6 @@ def delta_min(acs: Acs, x: Point) -> tuple[float, int]:
     return float(vals[k]), k
 
 
-def delta_min_array(acs: Acs, pts: np.ndarray) -> np.ndarray:
-    """Vectorized ``delta_min`` values for an (m, 2) array of points."""
-    c = acs.centers_array()
-    r = acs.radii_array()
-    d = np.hypot(pts[:, None, 0] - c[None, :, 0], pts[:, None, 1] - c[None, :, 1])
-    return (d - r[None, :]).min(axis=1)
-
-
 def minkowski_diff(p: Pupil, q: Pupil) -> Disk:
     """Difference disk of two pupils: centered at the center difference,
     radius equal to the radius sum."""

@@ -9,8 +9,9 @@ baseline with an additive error bound of (pupil count) * (grid step).
 Each pass of either family builds one witness analysis of the current
 configuration (``coverage.build_analysis``) and reads everything it needs
 from it: the per-disk enlargements, or the relocation rows together with
-the trace's coverage flag.  ``move_pupils`` with k passes therefore builds
-k + 1 witness sets, the last one only for the final configuration's flag.
+the trace's coverage flag, as arrays up to the least-squares matrix.
+``move_pupils`` with k passes therefore builds k + 1 witness tables, the
+last one only for the final configuration's flag.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import Analysis, build_analysis, decide, per_disk_alpha
+from .coverage import DIAMETRAL, Analysis, build_analysis, decide, per_disk_alpha
 from .geom import TOL, Point, Pupil, PupilConfig
 from .solver import LinearProgram, QuadraticProgram, solve_lp, solve_qp
 
@@ -170,24 +171,28 @@ def relocation_targets(cfg: PupilConfig) -> list[tuple[int, int, Point]]:
     triple per off-diagonal pair label owning the witness.  Labels of merged
     equal-radius disks share the representative's witnesses; strictly smaller
     merged labels have empty cells and contribute nothing."""
-    return _relocation_rows(build_analysis(cfg))
+    i, j, targets = _relocation_rows(build_analysis(cfg))
+    return [(a, b, Point(x, y)) for a, b, (x, y) in zip(i.tolist(), j.tolist(), targets.tolist())]
 
 
-def _relocation_rows(an: Analysis) -> list[tuple[int, int, Point]]:
-    """``relocation_targets`` of the analysed configuration, ordered by disk,
-    then label, then witness."""
+def _relocation_rows(an: Analysis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``relocation_targets`` of the analysed configuration as arrays: the
+    labels i and j and the (rows, 2) witness targets, ordered by disk, then
+    label, then witness."""
     radii = an.cfg.radii
-    rows: list[tuple[int, int, Point]] = []
-    for disk, pts in zip(an.acs.disks, an.vertex_witnesses()):
-        if not pts:
-            continue
-        for (i, j) in disk.labels():
-            if i == j:
-                continue  # difference of a center with itself carries no gradient
-            if radii[i] + radii[j] < disk.radius - 1e-12:
-                continue
-            rows.extend((i, j, p) for p in pts)
-    return rows
+    # The difference of a center with itself carries no gradient.
+    labels = np.array([(k, i, j) for k, disk in enumerate(an.acs.disks) for i, j in disk.labels()
+                       if i != j and radii[i] + radii[j] >= disk.radius - 1e-12],
+                      dtype=np.intp).reshape(-1, 3)
+    disk, i, j = labels.T
+    wit = np.flatnonzero(an.kind != DIAMETRAL)
+    owner = an.owner[wit]
+    # Each label takes all witnesses of its disk: row r is witness step[r]
+    # of the disk of label[r].
+    count = np.bincount(owner, minlength=an.acs.size)[disk]
+    label = np.repeat(np.arange(disk.size), count)
+    step = np.arange(label.size) - np.repeat(np.cumsum(count) - count, count)
+    return i[label], j[label], an.xy[wit[np.searchsorted(owner, disk)[label] + step]]
 
 
 def relocation_objective(cfg: PupilConfig, rows: list[tuple[int, int, Point]]) -> float:
@@ -202,15 +207,12 @@ def relocation_objective(cfg: PupilConfig, rows: list[tuple[int, int, Point]]) -
 
 
 def _solve_relocation(cfg: PupilConfig, rows, gauge: str) -> list[Point]:
-    n = cfg.n
-    m = len(rows)
-    a = np.zeros((m, n))
-    t = np.zeros((m, 2))
-    for r, (i, j, p) in enumerate(rows):
-        a[r, i] += 1.0
-        a[r, j] -= 1.0
-        t[r, 0] = p.x
-        t[r, 1] = p.y
+    """New centers from the rows (i, j, targets) of ``_relocation_rows``."""
+    i, j, t = rows
+    a = np.zeros((i.size, cfg.n))
+    r = np.arange(i.size)
+    a[r, i] += 1.0
+    a[r, j] -= 1.0
     centers = np.array([[c.x, c.y] for c in cfg.centers])
     if gauge == "fix_first_center":
         # Pin center 0; reduce to the remaining columns.
@@ -246,7 +248,7 @@ def move_pupils(cfg: PupilConfig, opts: OptimizerConfig | None = None) -> Optimi
     warning = None
     for _ in range(opts.relocation_iterations):
         rows = _relocation_rows(an)
-        if not rows:
+        if rows[0].size == 0:
             warning = "no off-diagonal witness rows; centers left unchanged"
             break
         current = current.with_centers(_solve_relocation(current, rows, opts.gauge))

@@ -1,8 +1,9 @@
 """Small dense linear and convex quadratic program solvers.
 
-Problem sizes here are tiny (tens of variables, at most a few hundred rows),
-so both solvers are self-contained: a two-phase tableau simplex with Bland's
-rule for determinism, and a primal active-set method for convex QPs.  Each
+Problems have tens of variables and up to a few thousand rows (the radius
+program of the p = 2 prime design has 2,192), and both solvers are dense and
+self-contained: a two-phase tableau simplex with Bland's rule for
+determinism, and a primal active-set method for convex QPs.  Each
 solve is certified post hoc from scratch (feasibility, dual signs and
 complementary slackness for the LP; the KKT residuals for the QP).
 """

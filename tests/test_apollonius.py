@@ -28,6 +28,7 @@ from pupilcover import (
     tri_disk_vertices,
     vertex_sets,
 )
+from pupilcover.apollonius import BOUNDARY_CROSSING, INTERIOR_VERTEX, _first_copies, _witness_table
 from tests.conftest import g4_lattice
 
 
@@ -505,6 +506,14 @@ def _reference_vertex_sets(acs, radius, *, tol=TOL):
             for k, b in enumerate(per_disk)]
 
 
+def _table_of(vsets):
+    """The witness table (xy, owner, kind) holding the points of ``vsets``."""
+    codes = {"interior_vertex": INTERIOR_VERTEX, "boundary_crossing": BOUNDARY_CROSSING}
+    rows = [(p.x, p.y, vs.disk, codes[kind]) for vs in vsets for p, kind in vs.points]
+    table = np.array(rows, dtype=float).reshape(-1, 4)
+    return table[:, :2], table[:, 2].astype(np.intp), table[:, 3].astype(np.intp)
+
+
 def _equivalence_configs():
     rng = np.random.default_rng(31337)
     cfgs = []
@@ -537,7 +546,8 @@ def test_batched_vertex_sets_match_scalar_reference(cfg, monkeypatch):
     _assert_contains(vertex_sets(acs, radius), reference)
 
     got = (decide(cfg), alpha_star(cfg), per_disk_alpha(cfg))
-    monkeypatch.setattr(pupilcover.coverage, "vertex_sets", lambda *args, **kw: reference)
+    monkeypatch.setattr(pupilcover.coverage, "_witness_table",
+                        lambda *args, **kw: _table_of(reference))
     want = (decide(cfg), alpha_star(cfg), per_disk_alpha(cfg))
     assert got[0][0] == want[0][0]
     assert got[1] == pytest.approx(want[1], abs=1e-12)
@@ -576,3 +586,61 @@ def test_vertex_sets_no_surviving_pair_is_all_empty(disks):
     vsets = vertex_sets(_acs_of_disks(disks), 1.0)
     assert [vs.disk for vs in vsets] == [0, 1, 2]
     assert all(vs.points == () for vs in vsets)
+
+
+def test_lattice_hole_vertex_once_per_owner():
+    """On the g = 4 square lattice at its covering radius, four disks tie at
+    the hole (0.5, 0.5), so every three of them give the same vertex; the
+    table holds it once for each of the four owners and for no other disk,
+    and no owner keeps two rows within 1e-8."""
+    cfg = g4_lattice("square", math.sqrt(2.0) / 4.0, 2.5)
+    acs = build_acs(cfg)
+    centers = acs.centers_array()
+    tie = [k for k, c in enumerate(centers.tolist()) if c in ([0, 0], [1, 0], [0, 1], [1, 1])]
+    assert len(tie) == 4
+    copies = [pt for a, b, c in combinations(tie, 3)
+              for pt, _ in tri_disk_vertices(*(acs.disks[k] for k in (a, b, c)))
+              if abs(pt.x - 0.5) <= 1e-8 and abs(pt.y - 0.5) <= 1e-8]
+    assert len(copies) == 4
+
+    xy, owner, kind = _witness_table(acs, cfg.objective_radius, TOL)
+    hole = np.flatnonzero((np.abs(xy[:, 0] - 0.5) <= 1e-8) & (np.abs(xy[:, 1] - 0.5) <= 1e-8))
+    assert owner[hole].tolist() == tie
+    assert (kind[hole] == INTERIOR_VERTEX).all()
+    same = owner[:, None] == owner[None, :]
+    close = (np.abs(xy[:, None] - xy[None, :]) <= 1e-8).all(axis=2)
+    assert not (np.triu(same & close, 1)).any()
+    vsets = vertex_sets(acs, cfg.objective_radius)
+    for k in range(acs.size):
+        got = [p for p, _ in vsets[k].points if abs(p.x - 0.5) <= 1e-8 and abs(p.y - 0.5) <= 1e-8]
+        assert len(got) == (k in tie)
+
+
+@pytest.mark.parametrize("inset", [0.0, 5e-9])
+def test_rim_vertex_once_per_owner_as_crossing(inset):
+    """Three equal disks about a point v at distance 1 - ``inset`` from the
+    origin: v is their equal-distance vertex, and the three pair bisectors
+    cross the rim (radius 1) within 1e-8 of it.  Each disk reports v once,
+    as a boundary crossing: at inset 0 the vertex lies on the rim within
+    tol; at inset 5e-9 it is an interior vertex whose kind the later rim
+    crossings upgrade, and the vertex's own position is kept."""
+    v = (1.0 - inset, 0.0)
+    acs = _acs_of_disks([Disk(Point(v[0] + 0.5 * math.cos(t), v[1] + 0.5 * math.sin(t)), 0.1)
+                         for t in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)])
+    xy, owner, kind = _witness_table(acs, 1.0, TOL)
+    at_v = np.flatnonzero((np.abs(xy[:, 0] - v[0]) <= 1e-8) & (np.abs(xy[:, 1] - v[1]) <= 1e-8))
+    assert owner[at_v].tolist() == [0, 1, 2]
+    assert (kind[at_v] == BOUNDARY_CROSSING).all()
+    assert np.abs(np.hypot(xy[at_v, 0], xy[at_v, 1]) - v[0]).max() <= 1e-12
+    for vs in vertex_sets(acs, 1.0):
+        got = [(p, k) for p, k in vs.points if abs(p.x - v[0]) <= 1e-8 and abs(p.y - v[1]) <= 1e-8]
+        assert len(got) == 1 and got[0][1] == "boundary_crossing"
+
+
+def test_first_copies_compares_with_kept_rows_only():
+    """A row is a copy only of an earlier row that is itself kept, and only
+    within its owner: in a chain 0.8e-8 apart the third row is kept, because
+    the row it is close to is a copy of the first."""
+    xy = np.array([[0.0, 0.0], [0.8e-8, 0.0], [1.6e-8, 0.0], [0.0, 0.0], [0.8e-8, 0.5e-8]])
+    owner = np.array([0, 0, 0, 1, 0])
+    assert _first_copies(xy, owner, 1e-8).tolist() == [0, 0, 2, 3, 0]

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from pupilcover import Point, Pupil, PupilConfig
+from pupilcover import OptimizerConfig, Point, Pupil, PupilConfig
 from pupilcover.cli import ConfigError, main, parse_config, serialize_config
 
 
@@ -58,6 +59,19 @@ def test_config_validation_errors(payload, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(payload).encode())
     assert fragment in str(err.value)
+
+
+def test_every_optimizer_field_is_an_option(tmp_path, capsys):
+    """Each OptimizerConfig field is accepted under "options" and reaches the
+    optimizer: the defaults written out in full run like no options."""
+    defaults = OptimizerConfig()
+    options = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(OptimizerConfig)}
+    _, parsed = parse_config(json.dumps({**UNCOVERED, "options": options}).encode())
+    assert parsed == options and OptimizerConfig(**parsed) == defaults
+    code, out, _ = run(capsys, "minsum", write_config(tmp_path, {**UNCOVERED, "options": options}))
+    assert code == 0
+    code, plain, _ = run(capsys, "minsum", write_config(tmp_path, UNCOVERED, "plain.json"))
+    assert json.loads(out)["result"] == json.loads(plain)["result"]
 
 
 def test_decide_exit_codes(tmp_path, capsys):

@@ -249,11 +249,11 @@ def test_max_objective_tangent_lattice_corners_are_covered(kind, rho, radius, ex
 
 def test_analyze_builds_acs_and_witnesses_once(monkeypatch):
     acs_calls = count_calls(monkeypatch, "geom", "build_acs")
-    vs_calls = count_calls(monkeypatch, "apollonius", "vertex_sets")
+    table_calls = count_calls(monkeypatch, "apollonius", "_witness_table")
     report = analyze(g4_lattice("square", 0.9 * math.sqrt(2.0) / 4.0, 2.5))
     assert not report.covered and report.r_star > 0.0
     assert len(acs_calls) == 1
-    assert len(vs_calls) == 1
+    assert len(table_calls) == 1
 
 
 @pytest.mark.parametrize("kind, rho, radius", [

@@ -22,6 +22,13 @@ from pupilcover.optimize import _entry, _solve_relocation
 from tests.conftest import count_calls, near_collinear_start, random_config
 
 
+def _row_arrays(rows):
+    """``relocation_targets`` rows as the (i, j, targets) arrays that
+    ``_solve_relocation`` takes."""
+    i, j, pts = zip(*rows)
+    return np.array(i), np.array(j), np.array([(p.x, p.y) for p in pts])
+
+
 def test_minsum_single_pupil_reaches_half_radius():
     cfg = PupilConfig([Pupil(Point(0, 0), 0.1)], 1.0)
     trace = minimize_sum_radii(cfg)
@@ -122,7 +129,7 @@ def test_move_zero_residual_rows_fix_centers():
         if i != j
     ]
     for gauge in ("fix_centroid", "fix_first_center"):
-        moved = _solve_relocation(cfg, rows, gauge)
+        moved = _solve_relocation(cfg, _row_arrays(rows), gauge)
         for old, new in zip(cfg.centers, moved):
             assert old.distance_to(new) <= 1e-9
 
@@ -139,7 +146,7 @@ def test_move_decreases_leastsquares_objective():
         rows = relocation_targets(current)
         assert rows
         before = relocation_objective(current, rows)
-        moved = current.with_centers(_solve_relocation(current, rows, "fix_centroid"))
+        moved = current.with_centers(_solve_relocation(current, _row_arrays(rows), "fix_centroid"))
         after = relocation_objective(moved, rows)
         assert after <= before + 1e-9
         current = moved
@@ -244,7 +251,7 @@ def test_move_builds_one_analysis_per_configuration(monkeypatch):
     """k passes analyse the start and the k moved configurations once each:
     k + 1 witness builds, where a decide plus a relocation_targets per
     configuration would take 2k + 1."""
-    calls = count_calls(monkeypatch, "apollonius", "vertex_sets")
+    calls = count_calls(monkeypatch, "apollonius", "_witness_table")
     for k in (1, 3):
         calls.clear()
         trace = move_pupils(near_collinear_start(0), OptimizerConfig(relocation_iterations=k))
@@ -261,7 +268,7 @@ def _move_by_public_views(cfg, opts):
         rows = relocation_targets(current)
         if not rows:
             break
-        current = current.with_centers(_solve_relocation(current, rows, opts.gauge))
+        current = current.with_centers(_solve_relocation(current, _row_arrays(rows), opts.gauge))
         entries.append(_entry(current, decide(current)[0]))
     return entries, current
 
