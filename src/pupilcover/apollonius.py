@@ -5,20 +5,27 @@ points at equal additive distance to three disks, and the witness table:
 vertices inside the objective plus cell-boundary crossings of its rim, as
 arrays of points, owning disks and kind codes (``_witness_table``).
 
-The table is built in two batched numpy stages.  Disks that can own no point
-of the objective, or lie strictly inside another disk, are dropped first;
-that changes no witness.  The triple stage enumerates the remaining triples
-whose three pairs have a bisector and solves them in chunks: the closed-form
-equal-distance line and quadratic, a masked Newton polish, then a running
-global-minimum test over the disks.  The rim stage is exact: a coarse angle
-grid drops, by a Lipschitz bound, the pairs whose disks never both come near
-the minimum at one sample, and every other pair's crossings are the unit
-roots of one quartic (a quadratic for equal radii), solved in closed form
-for all pairs at once and Newton-polished.  Chunking keeps each temporary
-under 32 KB, so memory grows with the disk count but never with the number
-of triples; the work is still cubic in the disk count.  ``vertex_sets`` is
-a per-disk view of the table.  The scalar ``tri_disk_vertices`` and
-``is_global_vertex`` are the reference the batched path is tested against.
+The table is built in batched numpy stages.  A cell mask first keeps only
+the disks that can attain the minimum over the objective (``_live_disks``):
+disks strictly inside another are dropped, and a grid of cells over the
+objective keeps a disk only if, at some cell center, it is within twice the
+cell half-diagonal (plus the ownership slack) of the minimum there.
+Additive distance is 1-Lipschitz, so the mask changes no witness.  The
+triple stage enumerates the triples of masked disks whose three pairs have a
+bisector and solves them in chunks: the closed-form equal-distance line and
+quadratic, a masked Newton polish, then a running global-minimum test over
+the masked disks.  The rim stage is exact: a coarse angle grid drops, by the
+same Lipschitz bound, the pairs whose disks never both come near the minimum
+at one sample, and every other pair's crossings are the unit roots of one
+quartic (a quadratic for equal radii), solved in closed form for all pairs
+at once and Newton-polished.  The triple chunks and the point-by-disk tests
+(containment, mask, ownership) each hold a bounded number of floats.  The
+one m x m array left is ``pair_ok`` over the m masked disks (with the
+distances it is made from), and the rim stage holds arrays over its pairs,
+so memory grows as m^2 and the work as m^3 in the masked disk count.
+``vertex_sets`` is a per-disk view of the table.  The scalar
+``tri_disk_vertices`` and ``is_global_vertex`` are the reference the batched
+path is tested against.
 """
 
 from __future__ import annotations
@@ -38,9 +45,9 @@ INTERIOR_VERTEX, BOUNDARY_CROSSING = 0, 1
 _KIND_NAMES: tuple[WitnessKind, ...] = ("interior_vertex", "boundary_crossing")
 
 # Chunk sizes of the batched witness construction, in triples and in
-# point-by-disk cells: a triple chunk's temporaries hold one float per
-# candidate (at most two per triple), the others one float per cell, so each
-# stays under 32 KB.
+# point-by-disk (or disk-by-disk) cells: a triple chunk's temporaries hold
+# one float per candidate (at most two per triple), the others one float per
+# cell, so each of these stays under 32 KB.
 _TRIPLE_CHUNK = 256
 _OWNER_CELLS = 4096
 
@@ -269,17 +276,37 @@ def _live_disks(centers: np.ndarray, radii: np.ndarray, radius: float, tol: floa
     """Indices of the disks that can attain the minimal additive distance
     (within ``tol``) somewhere within radius + tol of the origin.
 
-    Two kinds of disk are dropped, with a slack that covers the ownership
-    tolerance and the polish residual so that no witness, owner or value
-    changes: disks whose smallest additive distance over the objective
-    exceeds another disk's largest one, and disks strictly inside another."""
+    The slack below covers the ownership tolerance and the polish residual,
+    so that no witness, owner or value changes.  Disks strictly inside
+    another (by the slack) are dropped first; they are never the minimum.
+    The rest pass a cell mask: a G x G grid, G = max(16, ceil(2 sqrt(m))),
+    over the square [-(radius + tol), radius + tol]^2 keeps the cells whose
+    centers q lie within radius + tol plus the cell half-diagonal h of the
+    origin, and a disk stays if at some kept q it is within 2h + slack of
+    the minimum.  Additive distances are 1-Lipschitz, so a disk within the
+    slack of the minimum anywhere in a cell passes at the cell's center."""
     slack = 4.0 * tol + 2.0 * _FINAL_RESIDUAL
-    norms = np.hypot(centers[:, 0], centers[:, 1])
-    far = norms - radii - radius > (norms - radii + radius).min() + slack
-    dist = np.hypot(centers[:, None, 0] - centers[None, :, 0],
-                    centers[:, None, 1] - centers[None, :, 1])
-    inside = (dist < radii[None, :] - radii[:, None] - slack).any(axis=1)
-    return np.flatnonzero(~(far | inside))
+    m = radii.size
+    rows = max(1, _OWNER_CELLS // max(1, m))
+    inside = np.zeros(m, dtype=bool)
+    for s in range(0, m, rows):
+        dist = np.hypot(centers[s:s + rows, None, 0] - centers[None, :, 0],
+                        centers[s:s + rows, None, 1] - centers[None, :, 1])
+        inside[s:s + rows] = (dist < radii[None, :] - radii[s:s + rows, None] - slack).any(axis=1)
+    cand = np.flatnonzero(~inside)
+
+    reach = radius + tol
+    cells = max(16, math.ceil(2.0 * math.sqrt(m)))
+    step = 2.0 * reach / cells
+    half = step / math.sqrt(2.0)
+    axis = -reach + step * (np.arange(cells) + 0.5)
+    qx, qy = np.meshgrid(axis, axis, indexing="ij")
+    cell = np.hypot(qx, qy) <= reach + half
+    _, dk = _owner_pairs(qx[cell], qy[cell], centers[cand, 0], centers[cand, 1], radii[cand],
+                         2.0 * half + slack)
+    near = np.zeros(cand.size, dtype=bool)
+    near[dk] = True
+    return cand[near]
 
 
 def _triples(ok: np.ndarray):

@@ -15,14 +15,18 @@ one witness table (``apollonius._witness_table``: points, owning disks and
 kind codes), plus the diametral fallbacks, each disk's largest additive
 distance and the worst witness.  ``decide``, ``alpha_star``,
 ``per_disk_alpha`` and ``analyze`` are views of it, as are the optimizer's
-relocation rows and the SVG witness marks.
+relocation rows and the SVG witness marks.  The per-pair enlargements
+(``per_disk_alpha``, ``CoverageReport.per_disk_alpha``) are a read-only
+mapping, ``PairValues``, from every (i, j) to its disk's value; it holds an
+n x n array of disk indices and ``Analysis.disk_alpha``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,8 +47,41 @@ class CoverageReport:
     covered: bool
     witness: Point | None
     alpha_star: float
-    per_disk_alpha: dict[tuple[int, int], float | None]
+    per_disk_alpha: Mapping[tuple[int, int], float | None]
     r_star: float
+
+
+class PairValues(Mapping):
+    """Read-only mapping from every pupil pair (i, j) to the value of the
+    ACS disk that holds it: ``disk[i, j]`` indexes ``values``, and a NaN
+    value reads as None.  It compares equal to the dict of its items."""
+
+    __slots__ = ("_disk", "_values")
+
+    def __init__(self, disk: np.ndarray, values: np.ndarray):
+        self._disk = disk
+        self._values = values
+
+    def __getitem__(self, key) -> float | None:
+        try:
+            i, j = map(operator.index, key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        n = self._disk.shape[0]
+        if not (0 <= i < n and 0 <= j < n):
+            raise KeyError(key)
+        v = float(self._values[self._disk[i, j]])
+        return None if math.isnan(v) else v
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        n = self._disk.shape[0]
+        return ((i, j) for i in range(n) for j in range(n))
+
+    def __len__(self) -> int:
+        return self._disk.size
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 #: Kind code of a diametral fallback witness, after the two of the witness
@@ -84,13 +121,14 @@ class Analysis:
             return True, None
         return False, self.worst_point
 
-    def per_pair(self) -> dict[tuple[int, int], float | None]:
-        """Each disk's value fanned out to every (i, j) label it absorbed;
-        reports of the same pupil count share the key tuples."""
-        keys = _pair_keys(self.acs.n)
-        alpha = [None if math.isnan(a) else a for a in self.disk_alpha.tolist()]
-        return {keys[i][j]: alpha[k]
-                for k, disk in enumerate(self.acs.disks) for i, j in disk.labels()}
+    def per_pair(self) -> PairValues:
+        """Each disk's value seen through every (i, j) label it absorbed,
+        as a read-only mapping over ``disk_alpha``."""
+        disk = np.empty((self.acs.n, self.acs.n), dtype=np.int32)
+        for k, d in enumerate(self.acs.disks):
+            for i, j in d.labels():
+                disk[i, j] = k
+        return PairValues(disk, self.disk_alpha)
 
     def unique_points(self) -> np.ndarray:
         """The distinct witness-table points as an (u, 2) array: in
@@ -207,19 +245,15 @@ def alpha_star(cfg: PupilConfig, *, tol: float = TOL) -> float:
     return build_analysis(cfg, tol=tol).worst_value
 
 
-def per_disk_alpha(cfg: PupilConfig, *, tol: float = TOL) -> dict[tuple[int, int], float | None]:
+def per_disk_alpha(cfg: PupilConfig, *, tol: float = TOL) -> PairValues:
     """Per-pair minimal enlargement of each difference disk so that it keeps
     covering its own witnesses (signed; negative means the disk could shrink).
 
-    Values are computed per deduplicated disk and fanned back out to every
-    absorbed (i, j) label; disks whose cells contribute no witness (they miss
-    the objective) map to None ("unconstrained") for all their labels."""
+    Values are computed per deduplicated disk and read through every
+    absorbed (i, j) label of a read-only mapping with all n^2 pairs as keys;
+    disks whose cells contribute no witness (they miss the objective) map to
+    None ("unconstrained") for all their labels."""
     return build_analysis(cfg, tol=tol).per_pair()
-
-
-@lru_cache(maxsize=8)
-def _pair_keys(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(tuple((i, j) for j in range(n)) for i in range(n))
 
 
 def _circle_intersections(c1: Point, r1: float, c2: Point, r2: float) -> list[Point]:

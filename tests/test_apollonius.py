@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import pupilcover.apollonius
 import pupilcover.coverage
 from pupilcover import (
     TOL,
@@ -25,11 +26,13 @@ from pupilcover import (
     delta_min,
     is_global_vertex,
     per_disk_alpha,
+    prime_design,
     tri_disk_vertices,
     vertex_sets,
 )
-from pupilcover.apollonius import BOUNDARY_CROSSING, INTERIOR_VERTEX, _first_copies, _witness_table
-from tests.conftest import g4_lattice
+from pupilcover.apollonius import (BOUNDARY_CROSSING, INTERIOR_VERTEX, _first_copies, _live_disks,
+                                   _witness_table)
+from tests.conftest import g4_lattice, near_collinear_start
 
 
 def _random_disk_pair(rng, distinct_radii=True):
@@ -644,3 +647,57 @@ def test_first_copies_compares_with_kept_rows_only():
     xy = np.array([[0.0, 0.0], [0.8e-8, 0.0], [1.6e-8, 0.0], [0.0, 0.0], [0.8e-8, 0.5e-8]])
     owner = np.array([0, 0, 0, 1, 0])
     assert _first_copies(xy, owner, 1e-8).tolist() == [0, 0, 2, 3, 0]
+
+
+def _far_and_contained(centers, radii, radius, tol):
+    """The disk prune that the cell mask replaced: drop the disks whose
+    smallest additive distance over the objective exceeds another disk's
+    largest one, and the disks strictly inside another."""
+    slack = 4.0 * tol + 2e-9
+    norms = np.hypot(centers[:, 0], centers[:, 1])
+    far = norms - radii - radius > (norms - radii + radius).min() + slack
+    dist = np.hypot(centers[:, None, 0] - centers[None, :, 0],
+                    centers[:, None, 1] - centers[None, :, 1])
+    inside = (dist < radii[None, :] - radii[:, None] - slack).any(axis=1)
+    return np.flatnonzero(~(far | inside))
+
+
+def _mask_configs():
+    """(label, config): seeded random n = 3-9 designs with small and large
+    radii, the six g = 4 lattices and the ten acceptance-10 starts."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for n in range(3, 10):
+        for top in (0.15, 0.4):
+            pupils = [Pupil(Point(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))),
+                            float(rng.uniform(0.0, top))) for _ in range(n)]
+            cases.append((f"random n{n} r<={top}", PupilConfig(pupils, 1.0)))
+    for kind, cover, radius in (("square", math.sqrt(2.0) / 2.0, 2.5),
+                                ("triangular", 1.0 / math.sqrt(3.0), 2.3)):
+        for factor in (0.9, 1.0, 1.1):
+            cases.append((f"{kind} {factor}", g4_lattice(kind, 0.5 * cover * factor, radius)))
+    cases.extend((f"start {seed}", near_collinear_start(seed)) for seed in range(10))
+    return cases
+
+
+@pytest.mark.parametrize("cfg", [pytest.param(c, id=label) for label, c in _mask_configs()])
+def test_cell_mask_changes_no_witness(cfg, monkeypatch):
+    """The witness table with the cell mask of ``_live_disks`` is
+    bit-identical to the table with the far and containment prune."""
+    acs = build_acs(cfg)
+    got = _witness_table(acs, cfg.objective_radius, TOL)
+    monkeypatch.setattr(pupilcover.apollonius, "_live_disks", _far_and_contained)
+    want = _witness_table(acs, cfg.objective_radius, TOL)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def test_cell_mask_keeps_few_disks_on_prime_design():
+    """Work pin: of the 289 difference disks of the p = 2 prime design (the
+    far and containment prune keeps 197), at most 100 pass the cell mask."""
+    cfg = prime_design(4.0, 1.0 / math.sqrt(2.0)).config
+    acs = build_acs(cfg)
+    assert acs.size == 289
+    live = _live_disks(acs.centers_array(), acs.radii_array(), cfg.objective_radius, TOL)
+    assert live.size <= 100

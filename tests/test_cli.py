@@ -6,6 +6,9 @@ import pytest
 
 from pupilcover import OptimizerConfig, Point, Pupil, PupilConfig
 from pupilcover.cli import ConfigError, main, parse_config, serialize_config
+from pupilcover.coverage import build_analysis
+from tests.conftest import g4_lattice
+from tests.test_coverage import _dict_fan_out
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -108,6 +111,17 @@ def test_alpha_report(tmp_path, capsys):
     assert result["alpha_star"] == pytest.approx(0.4, abs=1e-9)
     assert result["per_disk_alpha"]["0,0"] == pytest.approx(0.4, abs=1e-9)
     assert result["r_star"] == pytest.approx(0.6, abs=1e-9)
+
+
+def test_alpha_report_pairs_are_the_disk_fan_out(tmp_path, capsys):
+    """The report's per-pair object is the JSON of the per-pair dict, keys
+    sorted, on a lattice with merged labels and None values."""
+    cfg = g4_lattice("square", 0.9 * math.sqrt(2.0) / 4.0, 2.5)
+    code, out, _ = run(capsys, "alpha", write_config(tmp_path, serialize_config(cfg)))
+    assert code == 0
+    want = {f"{i},{j}": v for (i, j), v in sorted(_dict_fan_out(build_analysis(cfg)).items())}
+    got = json.loads(out)["result"]["per_disk_alpha"]
+    assert json.dumps(got, indent=2) == json.dumps(want, indent=2, sort_keys=True)
 
 
 def test_minsum_report_and_out_file(tmp_path, capsys):

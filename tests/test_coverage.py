@@ -1,4 +1,6 @@
+import ast
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from pupilcover import (
     max_objective,
     per_disk_alpha,
 )
+from pupilcover.coverage import build_analysis
 from tests.conftest import count_calls, g4_lattice, random_config
 
 
@@ -256,12 +259,16 @@ def test_analyze_builds_acs_and_witnesses_once(monkeypatch):
     assert len(table_calls) == 1
 
 
-@pytest.mark.parametrize("kind, rho, radius", [
+#: The g = 4 lattices below, at and above the covering radius.
+_G4_LATTICES = [
     (kind, factor * rho, radius)
     for kind, rho, radius in (("square", math.sqrt(2.0) / 4.0, 2.5),
                               ("triangular", 1.0 / (2.0 * math.sqrt(3.0)), 2.3))
     for factor in (0.9, 1.0, 1.1)
-])
+]
+
+
+@pytest.mark.parametrize("kind, rho, radius", _G4_LATTICES)
 def test_views_of_one_analysis_agree_on_lattices(kind, rho, radius):
     """On the g = 4 lattices below, at and above the covering radius,
     ``analyze`` reports what ``decide``, ``alpha_star`` and
@@ -277,3 +284,36 @@ def test_views_of_one_analysis_agree_on_lattices(kind, rho, radius):
     covered, witness = decide(cfg)
     assert report.covered == (a <= 1e-9) == covered
     assert report.witness == witness
+
+
+def _dict_fan_out(an):
+    """Reference for the per-pair view: a dict of each disk's value for
+    every label it absorbed, None for NaN."""
+    return {(i, j): None if math.isnan(a) else a
+            for a, disk in zip(an.disk_alpha.tolist(), an.acs.disks) for i, j in disk.labels()}
+
+
+@pytest.mark.parametrize("kind, rho, radius", _G4_LATTICES)
+def test_per_pair_view_matches_dict_fan_out(kind, rho, radius):
+    """On the g = 4 lattices, which have merged labels and disks that miss
+    the objective (None), the per-pair view holds the items of the dict
+    fan-out, has n^2 keys, a dict repr and no keys outside the range, and
+    cannot be written."""
+    cfg = g4_lattice(kind, rho, radius)
+    an = build_analysis(cfg)
+    old = _dict_fan_out(an)
+    assert any(d.merged_from for d in an.acs.disks) and None in old.values()
+    view = an.per_pair()
+    assert isinstance(view, Mapping)
+    assert view == old and old == view
+    assert len(view) == len(old) == cfg.n ** 2
+    assert sorted(view.items()) == sorted(old.items())
+    assert all(type(v) is float for v in view.values() if v is not None)
+    assert ast.literal_eval(repr(view)) == old
+    assert analyze(cfg).per_disk_alpha == per_disk_alpha(cfg) == old
+    for key in ((cfg.n, 0), (0, cfg.n), (-1, 0), (0,), (0, 0, 0), (0.5, 0), 0, "ab"):
+        with pytest.raises(KeyError):
+            view[key]
+        assert key not in view
+    with pytest.raises(TypeError):
+        view[(0, 0)] = 0.0
