@@ -4,7 +4,8 @@ Config files are UTF-8 JSON:
 
     {"objective_radius": R,
      "pupils": [{"x": ..., "y": ..., "r": ...}, ...],
-     "options": {...}}            # optional, mirrors OptimizerConfig fields
+     "options": {...}}            # optional, mirrors OptimizerConfig fields,
+                                  # checked by every command that reads a file
 
 Reports are UTF-8 JSON with a "schema": 1 field, echoing the command, the
 SHA-256 digest of the input, the result payload and the runtime.  Exit codes:
@@ -85,6 +86,7 @@ def parse_config(raw: bytes) -> tuple[PupilConfig, dict]:
     unknown = set(options) - set(_OPTION_FIELDS)
     if unknown:
         raise ConfigError(f"config.options has unknown keys: {sorted(unknown)}")
+    _optimizer_config(options)
     try:
         cfg = PupilConfig(pupils, radius)
     except ValueError as exc:
@@ -99,16 +101,20 @@ def serialize_config(cfg: PupilConfig) -> dict:
     }
 
 
+def _optimizer_config(options: dict) -> OptimizerConfig:
+    try:
+        return OptimizerConfig(**options)
+    except ValueError as exc:
+        raise ConfigError(f"invalid optimizer options: {exc}") from exc
+
+
 def _options_from(args, base: dict) -> OptimizerConfig:
     merged = dict(base)
     for key in _OPTION_FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    try:
-        return OptimizerConfig(**merged)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid optimizer options: {exc}") from exc
+    return _optimizer_config(merged)
 
 
 def _trace_payload(trace: OptimizerTrace) -> dict:

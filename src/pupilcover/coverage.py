@@ -121,14 +121,19 @@ class Analysis:
             return True, None
         return False, self.worst_point
 
-    def per_pair(self) -> PairValues:
-        """Each disk's value seen through every (i, j) label it absorbed,
-        as a read-only mapping over ``disk_alpha``."""
+    def pair_disks(self) -> np.ndarray:
+        """The n x n int32 array whose (i, j) entry is the ACS disk that
+        absorbed the label (i, j)."""
         disk = np.empty((self.acs.n, self.acs.n), dtype=np.int32)
         for k, d in enumerate(self.acs.disks):
             for i, j in d.labels():
                 disk[i, j] = k
-        return PairValues(disk, self.disk_alpha)
+        return disk
+
+    def per_pair(self) -> PairValues:
+        """Each disk's value seen through every (i, j) label it absorbed,
+        as a read-only mapping over ``disk_alpha``."""
+        return PairValues(self.pair_disks(), self.disk_alpha)
 
     def unique_points(self) -> np.ndarray:
         """The distinct witness-table points as an (u, 2) array: in

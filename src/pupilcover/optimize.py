@@ -8,20 +8,23 @@ baseline with an additive error bound of (pupil count) * (grid step).
 
 Each pass of either family builds one witness analysis of the current
 configuration (``coverage.build_analysis``) and reads everything it needs
-from it: the per-disk enlargements, or the relocation rows together with
-the trace's coverage flag, as arrays up to the least-squares matrix.
-``move_pupils`` with k passes therefore builds k + 1 witness tables, the
-last one only for the final configuration's flag.
+from it as arrays, together with the trace's coverage flag: the radius
+program's rows ``a @ rho >= b``, one per pupil pair (i, j) in row-major
+order, taken from ``Analysis.disk_alpha`` through the pair-to-disk index,
+or the relocation rows up to the least-squares matrix.  Either family with
+k passes therefore builds k + 1 witness tables, the last one only for the
+final configuration's flag.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import DIAMETRAL, Analysis, build_analysis, decide, per_disk_alpha
+from .coverage import DIAMETRAL, Analysis, build_analysis, decide
 from .geom import TOL, Point, Pupil, PupilConfig
 from .solver import LinearProgram, QuadraticProgram, solve_lp, solve_qp
 
@@ -50,13 +53,25 @@ class OptimizerConfig:
     gauge: str = "fix_centroid"     # or "fix_first_center"
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
+        for name in ("epsilon", "theta", "min_radius", "max_radius"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    or name == "max_radius" and v is None):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
+        for name, least in (("max_iterations", 1), ("relocation_iterations", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+        if not isinstance(self.forbid_overlap, bool):
+            raise ValueError(f"forbid_overlap must be a bool, got {self.forbid_overlap!r}")
+        # Written so that NaN fails each comparison.
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.theta <= 0:
+        if not self.theta > 0:
             raise ValueError("theta must be positive")
-        if self.min_radius < 0:
+        if not self.min_radius >= 0:
             raise ValueError("min_radius must be nonnegative")
-        if self.max_radius is not None and self.max_radius < self.min_radius:
+        if self.max_radius is not None and not self.max_radius >= self.min_radius:
             raise ValueError("max_radius below min_radius")
         if self.gauge not in ("fix_centroid", "fix_first_center"):
             raise ValueError(f"unknown gauge {self.gauge!r}")
@@ -85,29 +100,31 @@ def _entry(cfg: PupilConfig, covered: bool) -> TraceEntry:
     )
 
 
-def _radius_constraints(cfg: PupilConfig, alphas, opts: OptimizerConfig):
-    """Rows of the radius program: every constrained pair (i, j) needs
-    new_rho_i + new_rho_j >= current pair radius + its enlargement; plus the
-    optional no-overlap rows new_rho_i + new_rho_j <= |c_i - c_j|."""
+def _radius_constraints(an: Analysis, opts: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``a @ rho >= b`` of the radius program over the new radii: every
+    pair (i, j) whose disk has witnesses, in row-major order, needs
+    rho_i + rho_j >= r_i + r_j + its disk's enlargement; plus the optional
+    no-overlap rows -rho_i - rho_j >= -|c_i - c_j| for i < j."""
+    cfg = an.cfg
     n = cfg.n
-    radii = cfg.radii
-    rows: list[tuple[np.ndarray, float]] = []
-    for (i, j), a in sorted(alphas.items()):
-        if a is None:
-            continue
-        e = np.zeros(n)
-        e[i] += 1.0
-        e[j] += 1.0
-        rows.append((e, radii[i] + radii[j] + a))
+    alpha = an.disk_alpha[an.pair_disks()].ravel()
+    pair = np.flatnonzero(~np.isnan(alpha))
+    i, j = np.divmod(pair, n)
+    radii = np.array(cfg.radii)
+    b = radii[i] + radii[j] + alpha[pair]
+    sign = np.ones(pair.size)
     if opts.forbid_overlap:
+        oi, oj = np.triu_indices(n, 1)
         centers = cfg.centers
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = np.zeros(n)
-                e[i] = -1.0
-                e[j] = -1.0
-                rows.append((e, -centers[i].distance_to(centers[j])))
-    return rows
+        gaps = [centers[p].distance_to(centers[q]) for p, q in zip(oi.tolist(), oj.tolist())]
+        i, j = np.concatenate([i, oi]), np.concatenate([j, oj])
+        b = np.concatenate([b, -np.array(gaps, dtype=float)])
+        sign = np.concatenate([sign, np.full(oi.size, -1.0)])
+    a = np.zeros((b.size, n))
+    r = np.arange(b.size)
+    a[r, i] += sign
+    a[r, j] += sign
+    return a, b
 
 
 def _fixed_center_loop(cfg: PupilConfig, opts: OptimizerConfig, objective: str) -> OptimizerTrace:
@@ -117,18 +134,17 @@ def _fixed_center_loop(cfg: PupilConfig, opts: OptimizerConfig, objective: str) 
     pending = _entry(current, covered=False)
     converged = False
     for iteration in range(1, opts.max_iterations + 1):
-        alphas = per_disk_alpha(current)
-        worst = max((a for a in alphas.values() if a is not None), default=-math.inf)
-        pending.covered = worst <= TOL
+        an = build_analysis(current)
+        pending.covered = an.covered
         entries.append(pending)
 
-        rows = _radius_constraints(current, alphas, opts)
+        a, b = _radius_constraints(an, opts)
         lb = np.full(n, opts.min_radius)
         ub = None if opts.max_radius is None else np.full(n, opts.max_radius)
         if objective == "sum":
-            rho = solve_lp(LinearProgram(np.ones(n), rows, lb, ub))
+            rho = solve_lp(LinearProgram(np.ones(n), a, b, lb, ub))
         else:
-            rho = solve_qp(QuadraticProgram(2.0 * math.pi * np.eye(n), np.zeros(n), rows, lb, ub))
+            rho = solve_qp(QuadraticProgram(2.0 * math.pi * np.eye(n), np.zeros(n), a, b, lb, ub))
         err = float(sum(current.radii)) - float(rho.sum())
         if iteration >= 2 and err < 0.0 and pending.covered:
             # The pass would raise the sum of a covering configuration.

@@ -3,15 +3,18 @@
 Problems have tens of variables and up to a few thousand rows (the radius
 program of the p = 2 prime design has 2,192), and both solvers are dense and
 self-contained: a two-phase tableau simplex with Bland's rule for
-determinism, and a primal active-set method for convex QPs.  Each
-solve is certified post hoc from scratch (feasibility, dual signs and
-complementary slackness for the LP; the KKT residuals for the QP).
+determinism, and a primal active-set method for convex QPs.  Constraint rows
+are one (rows, n) matrix ``a`` and one (rows,) vector ``b`` meaning
+``a @ x >= b``; the solvers stack them with the finite bound rows and never
+handle a row on its own.  Each solve is certified post hoc from scratch
+(feasibility, dual signs and complementary slackness for the LP; the KKT
+residuals for the QP), each check one matrix product over all rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,42 +31,52 @@ class NumericalError(Exception):
     """The solver finished but its optimality certificate failed."""
 
 
+def _vector(v, n: int, name: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
+    return v
+
+
+def _matrix(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[1] != n:
+        raise ValueError(f"a must have shape (rows, {n}), got {a.shape}")
+    return a, _vector(b, a.shape[0], "b")
+
+
 @dataclass
 class LinearProgram:
-    """minimize objective @ x  subject to  a @ x >= b for every (a, b) row,
+    """minimize objective @ x  subject to  a @ x >= b row by row,
     lower_bounds <= x (<= upper_bounds when given)."""
 
     objective: np.ndarray
-    constraints: list[tuple[np.ndarray, float]]
+    a: np.ndarray
+    b: np.ndarray
     lower_bounds: np.ndarray
     upper_bounds: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.objective = np.asarray(self.objective, dtype=float)
-        self.lower_bounds = np.asarray(self.lower_bounds, dtype=float)
-        self.constraints = [(np.asarray(a, dtype=float), float(b)) for a, b in self.constraints]
         n = self.objective.shape[0]
-        if self.lower_bounds.shape != (n,):
-            raise ValueError("lower_bounds dimension mismatch")
+        self.a, self.b = _matrix(self.a, self.b, n)
+        self.lower_bounds = _vector(self.lower_bounds, n, "lower_bounds")
         if not np.all(np.isfinite(self.lower_bounds)):
             raise ValueError("lower_bounds must be finite")
-        for a, _ in self.constraints:
-            if a.shape != (n,):
-                raise ValueError("constraint row dimension mismatch")
         if self.upper_bounds is not None:
-            self.upper_bounds = np.asarray(self.upper_bounds, dtype=float)
-            if self.upper_bounds.shape != (n,):
-                raise ValueError("upper_bounds dimension mismatch")
+            self.upper_bounds = _vector(self.upper_bounds, n, "upper_bounds")
 
 
 @dataclass
 class QuadraticProgram:
     """minimize 0.5 * x @ Q @ x + c @ x under the same constraint shape as
-    LinearProgram.  Q must be symmetric positive semidefinite."""
+    LinearProgram, with no rows when ``a`` is None.  Q must be symmetric
+    positive semidefinite."""
 
     Q: np.ndarray
     c: np.ndarray
-    constraints: list[tuple[np.ndarray, float]] = field(default_factory=list)
+    a: np.ndarray | None = None
+    b: np.ndarray | None = None
     lower_bounds: np.ndarray | None = None
     upper_bounds: np.ndarray | None = None
 
@@ -78,14 +91,13 @@ class QuadraticProgram:
             raise ValueError("Q must be symmetric")
         if float(np.linalg.eigvalsh(self.Q).min()) < -1e-8 * scale:
             raise ValueError("Q must be positive semidefinite")
-        self.constraints = [(np.asarray(a, dtype=float), float(b)) for a, b in self.constraints]
-        for a, _ in self.constraints:
-            if a.shape != (n,):
-                raise ValueError("constraint row dimension mismatch")
+        if self.a is None and self.b is None:
+            self.a, self.b = np.zeros((0, n)), np.zeros(0)
+        self.a, self.b = _matrix(self.a, self.b, n)
         if self.lower_bounds is not None:
-            self.lower_bounds = np.asarray(self.lower_bounds, dtype=float)
+            self.lower_bounds = _vector(self.lower_bounds, n, "lower_bounds")
         if self.upper_bounds is not None:
-            self.upper_bounds = np.asarray(self.upper_bounds, dtype=float)
+            self.upper_bounds = _vector(self.upper_bounds, n, "upper_bounds")
 
 
 _PIVOT_TOL = 1e-11
@@ -188,24 +200,20 @@ def _simplex_standard(cost: np.ndarray, eq: np.ndarray, rhs: np.ndarray) -> tupl
     return z[:nv], basis[:m]
 
 
-def _lp_rows(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
-    """All rows in 'a @ y >= h' form over the shifted variable y = x - lb."""
-    n = lp.objective.shape[0]
-    rows = []
-    rhs = []
-    for a, b in lp.constraints:
-        rows.append(a)
-        rhs.append(b - float(a @ lp.lower_bounds))
-    if lp.upper_bounds is not None:
-        for i in range(n):
-            if math.isfinite(lp.upper_bounds[i]):
-                e = np.zeros(n)
-                e[i] = -1.0
-                rows.append(e)
-                rhs.append(-(lp.upper_bounds[i] - lp.lower_bounds[i]))
-    if rows:
-        return np.array(rows), np.array(rhs)
-    return np.zeros((0, n)), np.zeros(0)
+def _with_bounds(a: np.ndarray, b: np.ndarray, lower: np.ndarray | None,
+                 upper: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """``a @ x >= b`` stacked with x_i >= lower_i for every finite lower
+    bound, then -x_i >= -upper_i for every finite upper bound."""
+    n = a.shape[1]
+    rows, rhs = [a], [b]
+    for sign, bound in ((1.0, lower), (-1.0, upper)):
+        if bound is not None:
+            idx = np.flatnonzero(np.isfinite(bound))
+            unit = np.zeros((idx.size, n))
+            unit[np.arange(idx.size), idx] = sign
+            rows.append(unit)
+            rhs.append(sign * bound[idx])
+    return np.vstack(rows), np.concatenate(rhs)
 
 
 def solve_lp(lp: LinearProgram) -> np.ndarray:
@@ -213,7 +221,9 @@ def solve_lp(lp: LinearProgram) -> np.ndarray:
     The result is certified from scratch: primal feasibility, nonnegative row
     duals, complementary slackness and a closed duality gap."""
     n = lp.objective.shape[0]
-    rows, rhs = _lp_rows(lp)
+    # All rows in 'rows @ y >= rhs' form over the shifted variable y = x - lb.
+    lb, ub = lp.lower_bounds, lp.upper_bounds
+    rows, rhs = _with_bounds(lp.a, lp.b - lp.a @ lb, None, None if ub is None else ub - lb)
     m = rows.shape[0]
     # Standard form: rows @ y - s = rhs with y, s >= 0.
     eq = np.hstack([rows, -np.eye(m)]) if m else np.zeros((0, n))
@@ -228,9 +238,8 @@ def solve_lp(lp: LinearProgram) -> np.ndarray:
 
 def _certify_lp(lp, x, cost, eq, rhs, z, basis) -> None:
     scale = 1.0 + float(np.abs(x).max(initial=0.0)) + float(np.abs(lp.objective).max(initial=0.0))
-    for a, b in lp.constraints:
-        if float(a @ x) < b - 1e-9 * scale:
-            raise NumericalError("primal constraint violated beyond tolerance")
+    if np.any(lp.a @ x < lp.b - 1e-9 * scale):
+        raise NumericalError("primal constraint violated beyond tolerance")
     if np.any(x < lp.lower_bounds - 1e-9 * scale):
         raise NumericalError("lower bound violated beyond tolerance")
     if lp.upper_bounds is not None and np.any(x > lp.upper_bounds + 1e-9 * scale):
@@ -254,51 +263,19 @@ def _certify_lp(lp, x, cost, eq, rhs, z, basis) -> None:
         raise NumericalError("duality gap not closed")
 
 
-def _qp_rows(qp: QuadraticProgram) -> tuple[np.ndarray, np.ndarray]:
-    n = qp.c.shape[0]
-    rows = []
-    rhs = []
-    for a, b in qp.constraints:
-        rows.append(a)
-        rhs.append(b)
-    if qp.lower_bounds is not None:
-        for i in range(n):
-            if math.isfinite(qp.lower_bounds[i]):
-                e = np.zeros(n)
-                e[i] = 1.0
-                rows.append(e)
-                rhs.append(float(qp.lower_bounds[i]))
-    if qp.upper_bounds is not None:
-        for i in range(n):
-            if math.isfinite(qp.upper_bounds[i]):
-                e = np.zeros(n)
-                e[i] = -1.0
-                rows.append(e)
-                rhs.append(-float(qp.upper_bounds[i]))
-    if rows:
-        return np.array(rows), np.array(rhs)
-    return np.zeros((0, n)), np.zeros(0)
-
-
 def _qp_feasible_start(rows: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
     # Synthetic box keeps phase 1 bounded; sized from the data so the tableau
     # stays well scaled, and generous enough to never bind at the optimum.
     box = 1e4 * max(1.0, float(np.abs(rhs).max(initial=0.0)))
-    lp = LinearProgram(
-        objective=np.zeros(n),
-        constraints=[(rows[k], float(rhs[k])) for k in range(rows.shape[0])],
-        lower_bounds=np.full(n, -box),
-        upper_bounds=np.full(n, box),
-    )
-    return solve_lp(lp)
+    return solve_lp(LinearProgram(np.zeros(n), rows, rhs, np.full(n, -box), np.full(n, box)))
 
 
-def solve_qp(qp: QuadraticProgram, *, max_iterations: int | None = None) -> np.ndarray:
+def solve_qp(qp: QuadraticProgram) -> np.ndarray:
     """Minimizer of a convex QP by a primal active-set method; the
     unconstrained case solves the normal equations directly.  The returned
     point satisfies the KKT conditions to 1e-8."""
     n = qp.c.shape[0]
-    rows, rhs = _qp_rows(qp)
+    rows, rhs = _with_bounds(qp.a, qp.b, qp.lower_bounds, qp.upper_bounds)
     m = rows.shape[0]
     if m == 0:
         try:
@@ -319,9 +296,8 @@ def solve_qp(qp: QuadraticProgram, *, max_iterations: int | None = None) -> np.n
                 keep.append(k)
         working = keep
 
-    limit = max_iterations if max_iterations is not None else 100 * (m + 2)
     lam = np.zeros(len(working))
-    for _ in range(limit):
+    for _ in range(100 * (m + 2)):
         g = qp.Q @ x + qp.c
         k = len(working)
         kkt = np.zeros((n + k, n + k))
@@ -365,18 +341,13 @@ def solve_qp(qp: QuadraticProgram, *, max_iterations: int | None = None) -> np.n
 
 def _certify_qp(qp, rows, rhs, x, lam, working) -> None:
     scale = 1.0 + float(np.abs(x).max(initial=0.0)) + float(np.abs(qp.c).max(initial=0.0))
-    stationarity = qp.Q @ x + qp.c
-    for idx, k in enumerate(working):
-        stationarity = stationarity - lam[idx] * rows[k]
+    active = rows[working]
+    stationarity = qp.Q @ x + qp.c - active.T @ lam
     if np.abs(stationarity).max(initial=0.0) > 1e-8 * scale:
         raise NumericalError("KKT stationarity residual too large")
-    for r in range(rows.shape[0]):
-        slack = float(rows[r] @ x) - rhs[r]
-        if slack < -1e-8 * scale:
-            raise NumericalError("QP primal feasibility violated")
-    for idx, k in enumerate(working):
-        if lam[idx] < -1e-8 * scale:
-            raise NumericalError("negative multiplier at claimed optimum")
-        slack = float(rows[k] @ x) - rhs[k]
-        if abs(lam[idx] * slack) > 1e-8 * scale:
-            raise NumericalError("complementary slackness violated")
+    if np.any(rows @ x - rhs < -1e-8 * scale):
+        raise NumericalError("QP primal feasibility violated")
+    if np.any(lam < -1e-8 * scale):
+        raise NumericalError("negative multiplier at claimed optimum")
+    if np.any(np.abs(lam * (active @ x - rhs[working])) > 1e-8 * scale):
+        raise NumericalError("complementary slackness violated")

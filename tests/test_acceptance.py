@@ -299,7 +299,7 @@ def test_11_solver_cross_checks():
                 e[i] += 1.0
                 e[j] += 1.0
                 rows.append((e, float(radii[i] + radii[j]) + float(rng.uniform(-0.3, 0.5))))
-        lp = LinearProgram(np.ones(n), rows, np.zeros(n))
+        lp = LinearProgram(np.ones(n), np.array([a for a, _ in rows]), [b for _, b in rows], np.zeros(n))
         x = solve_lp(lp)
         assert float(np.ones(n) @ x) == pytest.approx(_enumerate_vertices(lp), abs=1e-7)
     for _ in range(25):
@@ -308,6 +308,6 @@ def test_11_solver_cross_checks():
         c = rng.uniform(-2.0, 2.0, n)
         lb = rng.uniform(-1.0, 0.0, n)
         ub = lb + rng.uniform(0.2, 2.0, n)
-        x = solve_qp(QuadraticProgram(Q, c, [], lb, ub))
+        x = solve_qp(QuadraticProgram(Q, c, lower_bounds=lb, upper_bounds=ub))
         assert x == pytest.approx(_projected_gradient(Q, c, lb, ub), abs=1e-5)
     _report(11, "solver cross-checks", "40 LPs at 1e-7, 25 QPs at 1e-5")

@@ -56,6 +56,25 @@ def test_config_round_trip():
             {"objective_radius": 1.0, "pupils": [{"x": 0, "y": 0, "r": 0.1}], "options": {"bogus": 1}},
             "unknown",
         ),
+        *(
+            ({"objective_radius": 1.0, "pupils": [{"x": 0, "y": 0, "r": 0.1}], "options": {key: value}},
+             key)
+            for key, value in [
+                ("max_iterations", 2.5),
+                ("max_iterations", 0),
+                ("max_iterations", -3),
+                ("max_iterations", True),
+                ("relocation_iterations", "3"),
+                ("relocation_iterations", -2),
+                ("forbid_overlap", "no"),
+                ("forbid_overlap", 1),
+                ("epsilon", True),
+                ("epsilon", "1e-6"),
+                ("theta", None),
+                ("min_radius", [0.1]),
+                ("max_radius", False),
+            ]
+        ),
     ],
 )
 def test_config_validation_errors(payload, fragment):
@@ -160,6 +179,17 @@ def test_minsum_iteration_limit_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert json.loads(out)["error"]["type"] == "IterationLimit"
+
+
+@pytest.mark.parametrize("command,flag,value,field", [
+    ("minsum", "--max-iterations", "0", "max_iterations"),
+    ("minarea", "--max-iterations", "-3", "max_iterations"),
+    ("move", "--iterations", "-2", "relocation_iterations"),
+])
+def test_option_flags_out_of_range_exit_2(tmp_path, capsys, command, flag, value, field):
+    code, out, err = run(capsys, command, write_config(tmp_path, UNCOVERED), flag, value)
+    assert code == 2 and out == ""
+    assert field in err
 
 
 def test_render_empty_config_exit_2(tmp_path, capsys):

@@ -5,19 +5,25 @@ import pytest
 
 from pupilcover import (
     Infeasible,
+    LinearProgram,
     OptimizerConfig,
     Point,
     Pupil,
     PupilConfig,
+    QuadraticProgram,
     SearchSpaceTooLarge,
     decide,
     exhaustive_search,
     minimize_area,
     minimize_sum_radii,
     move_pupils,
+    per_disk_alpha,
     relocation_objective,
     relocation_targets,
+    solve_lp,
+    solve_qp,
 )
+from pupilcover.geom import TOL
 from pupilcover.optimize import _entry, _solve_relocation
 from tests.conftest import count_calls, near_collinear_start, random_config
 
@@ -257,6 +263,100 @@ def test_move_builds_one_analysis_per_configuration(monkeypatch):
         trace = move_pupils(near_collinear_start(0), OptimizerConfig(relocation_iterations=k))
         assert trace.warning is None and len(trace.iterations) == k + 1
         assert len(calls) == k + 1
+
+
+@pytest.mark.parametrize("loop", [minimize_sum_radii, minimize_area])
+def test_radius_loop_builds_one_analysis_per_pass(monkeypatch, loop):
+    """k passes build k + 1 witness tables: one per pass for its rows and
+    coverage flag, and one for the final configuration's flag."""
+    # No radius reaches R / 2, where decide would answer without a table.
+    square = PupilConfig([Pupil(Point(x, y), 0.1)
+                          for x, y in [(0.3, 0.0), (-0.3, 0.0), (0.0, 0.3), (0.0, -0.3)]], 1.0)
+    skewed = PupilConfig([Pupil(Point(x, y), 0.1) for x, y in
+                          [(0.4, 0.1), (-0.3, 0.2), (0.1, 0.45), (0.0, -0.4), (-0.2, -0.2)]], 1.0)
+    calls = count_calls(monkeypatch, "apollonius", "_witness_table")
+    for cfg in (square, skewed):
+        calls.clear()
+        trace = loop(cfg, OptimizerConfig(epsilon=1e-6))
+        assert len(trace.iterations) >= 3 and max(trace.final_config.radii) < 0.5
+        assert len(calls) == len(trace.iterations)
+
+
+def _radius_loop_by_public_views(cfg, opts, objective):
+    """The radius loop spelled out with ``per_disk_alpha``: its values fanned
+    out to one row per (i, j) in sorted order, pairs with None skipped,
+    followed by the no-overlap rows."""
+    n = cfg.n
+    entries = []
+    current = cfg
+    pending = _entry(current, False)
+    for iteration in range(1, opts.max_iterations + 1):
+        alphas = per_disk_alpha(current)
+        worst = max((a for a in alphas.values() if a is not None), default=-math.inf)
+        pending.covered = worst <= TOL
+        entries.append(pending)
+        rows, rhs = [], []
+        radii = current.radii
+        for (i, j), a in sorted(alphas.items()):
+            if a is not None:
+                e = np.zeros(n)
+                e[i] += 1.0
+                e[j] += 1.0
+                rows.append(e)
+                rhs.append(radii[i] + radii[j] + a)
+        if opts.forbid_overlap:
+            centers = current.centers
+            for i in range(n):
+                for j in range(i + 1, n):
+                    e = np.zeros(n)
+                    e[i] = e[j] = -1.0
+                    rows.append(e)
+                    rhs.append(-centers[i].distance_to(centers[j]))
+        a = np.array(rows).reshape(-1, n)
+        lb = np.full(n, opts.min_radius)
+        if objective == "sum":
+            rho = solve_lp(LinearProgram(np.ones(n), a, rhs, lb))
+        else:
+            rho = solve_qp(QuadraticProgram(2.0 * math.pi * np.eye(n), np.zeros(n), a, rhs, lb))
+        err = float(sum(current.radii)) - float(rho.sum())
+        if iteration >= 2 and err < 0.0 and pending.covered:
+            return entries, current
+        current = current.with_radii(np.maximum(rho, 0.0))
+        pending = _entry(current, False)
+        if iteration >= 2 and err < opts.epsilon:
+            break
+    pending.covered = decide(current)[0]
+    entries.append(pending)
+    return entries, current
+
+
+def _outcome(run):
+    """(entries, final configuration), or the type and message of the
+    solver exception."""
+    try:
+        out = run()
+    except Infeasible as exc:
+        return type(exc).__name__, str(exc)
+    return out if isinstance(out, tuple) else (out.iterations, out.final_config)
+
+
+#: Three far-apart pupils: the no-overlap rows leave a feasible program.
+_FAR_APART = PupilConfig([Pupil(Point(0.0, 0.0), 0.3), Pupil(Point(1.4, 0.0), 0.1),
+                          Pupil(Point(0.0, 1.4), 0.1)], 1.0)
+
+
+@pytest.mark.parametrize("forbid_overlap", [False, True])
+@pytest.mark.parametrize("start", [*range(10), "far-apart"])
+def test_radius_loop_matches_public_views(start, forbid_overlap):
+    """Both radius loops agree exactly with the loop spelled out from the
+    public per-pair view.  With no-overlap rows the near-collinear starts
+    are infeasible, and the exception must agree too."""
+    cfg = _FAR_APART if start == "far-apart" else near_collinear_start(start)
+    opts = OptimizerConfig(forbid_overlap=forbid_overlap)
+    for loop, objective in ((minimize_sum_radii, "sum"), (minimize_area, "area")):
+        ours = _outcome(lambda: loop(cfg, opts))
+        assert ours == _outcome(lambda: _radius_loop_by_public_views(cfg, opts, objective))
+        assert (ours[0] == "Infeasible") == (forbid_overlap and start != "far-apart")
 
 
 def _move_by_public_views(cfg, opts):

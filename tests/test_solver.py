@@ -15,24 +15,24 @@ from pupilcover import (
 
 
 def test_lp_single_binding_constraint():
-    x = solve_lp(LinearProgram([1.0], [(np.array([1.0]), 3.0)], [0.0]))
+    x = solve_lp(LinearProgram([1.0], [[1.0]], [3.0], [0.0]))
     assert x[0] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_lp_degenerate_optimum_objective_value():
-    lp = LinearProgram([1.0, 1.0], [(np.array([1.0, 1.0]), 2.0)], [0.0, 0.0])
+    lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [2.0], [0.0, 0.0])
     x = solve_lp(lp)
     assert float(np.dot([1.0, 1.0], x)) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_lp_infeasible():
-    lp = LinearProgram([1.0], [(np.array([1.0]), 1.0)], [0.0], [0.0])
+    lp = LinearProgram([1.0], [[1.0]], [1.0], [0.0], [0.0])
     with pytest.raises(Infeasible):
         solve_lp(lp)
 
 
 def test_lp_unbounded():
-    lp = LinearProgram([-1.0], [(np.array([1.0]), 0.0)], [0.0])
+    lp = LinearProgram([-1.0], [[1.0]], [0.0], [0.0])
     with pytest.raises(Unbounded):
         solve_lp(lp)
 
@@ -40,7 +40,8 @@ def test_lp_unbounded():
 def test_lp_respects_bounds():
     lp = LinearProgram(
         [1.0, -1.0],
-        [(np.array([1.0, 1.0]), 1.0)],
+        [[1.0, 1.0]],
+        [1.0],
         [0.25, 0.0],
         [2.0, 0.75],
     )
@@ -53,7 +54,7 @@ def _enumerate_vertices(lp: LinearProgram) -> float:
     """Exhaustive basic-solution oracle: best objective over all feasible
     intersections of n active constraints (rows plus bound rows)."""
     n = lp.objective.shape[0]
-    rows = [(np.asarray(a, float), float(b)) for a, b in lp.constraints]
+    rows = list(zip(lp.a, lp.b))
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
@@ -67,7 +68,7 @@ def _enumerate_vertices(lp: LinearProgram) -> float:
         if abs(np.linalg.det(a)) < 1e-12:
             continue
         x = np.linalg.solve(a, b)
-        feasible = all(float(r @ x) >= bb - 1e-9 for r, bb in lp.constraints)
+        feasible = all(float(r @ x) >= bb - 1e-9 for r, bb in zip(lp.a, lp.b))
         feasible &= bool(np.all(x >= lp.lower_bounds - 1e-9))
         if lp.upper_bounds is not None:
             feasible &= bool(np.all(x <= lp.upper_bounds + 1e-9))
@@ -89,13 +90,13 @@ def test_lp_matches_vertex_enumeration(rng):
                 e[i] += 1.0
                 e[j] += 1.0
                 rows.append((e, float(radii[i] + radii[j]) + alpha))
-        lp = LinearProgram(np.ones(n), rows, np.zeros(n))
+        lp = LinearProgram(np.ones(n), np.array([a for a, _ in rows]), [b for _, b in rows], np.zeros(n))
         x = solve_lp(lp)
         assert float(np.ones(n) @ x) == pytest.approx(_enumerate_vertices(lp), abs=1e-7)
 
 
 def test_qp_active_constraint():
-    x = solve_qp(QuadraticProgram([[2.0]], [0.0], [(np.array([1.0]), 3.0)]))
+    x = solve_qp(QuadraticProgram([[2.0]], [0.0], [[1.0]], [3.0]))
     assert x[0] == pytest.approx(3.0, abs=1e-8)
 
 
@@ -105,7 +106,7 @@ def test_qp_unconstrained_stationary_point():
 
 
 def test_qp_symmetric_split():
-    x = solve_qp(QuadraticProgram(2.0 * np.eye(2), [0.0, 0.0], [(np.array([1.0, 1.0]), 2.0)]))
+    x = solve_qp(QuadraticProgram(2.0 * np.eye(2), [0.0, 0.0], [[1.0, 1.0]], [2.0]))
     assert x == pytest.approx([1.0, 1.0], abs=1e-8)
 
 
@@ -118,7 +119,7 @@ def test_qp_rejects_asymmetric_or_indefinite():
 
 def test_qp_infeasible():
     qp = QuadraticProgram(
-        [[2.0]], [0.0], [(np.array([1.0]), 1.0)], lower_bounds=[0.0], upper_bounds=[0.5]
+        [[2.0]], [0.0], [[1.0]], [1.0], lower_bounds=[0.0], upper_bounds=[0.5]
     )
     with pytest.raises(Infeasible):
         solve_qp(qp)
@@ -140,7 +141,7 @@ def test_qp_matches_projected_gradient_on_boxes(rng):
         c = rng.uniform(-2.0, 2.0, n)
         lb = rng.uniform(-1.0, 0.0, n)
         ub = lb + rng.uniform(0.2, 2.0, n)
-        x = solve_qp(QuadraticProgram(Q, c, [], lb, ub))
+        x = solve_qp(QuadraticProgram(Q, c, lower_bounds=lb, upper_bounds=ub))
         ref = _projected_gradient(Q, c, lb, ub)
         assert x == pytest.approx(ref, abs=1e-5)
 
@@ -157,7 +158,8 @@ def test_qp_pair_sum_structure(rng):
                 e[i] += 1.0
                 e[j] += 1.0
                 rows.append((e, float(rng.uniform(0.1, 1.0))))
-        qp = QuadraticProgram(2.0 * math.pi * np.eye(n), np.zeros(n), rows, np.zeros(n))
+        qp = QuadraticProgram(2.0 * math.pi * np.eye(n), np.zeros(n), np.array([a for a, _ in rows]),
+                              [b for _, b in rows], np.zeros(n))
         x = solve_qp(qp)
         for a, b in rows:
             assert float(a @ x) >= b - 1e-8
@@ -166,3 +168,28 @@ def test_qp_pair_sum_structure(rng):
         feas = grid[np.all(grid @ np.array([a for a, _ in rows]).T >= np.array([b for _, b in rows]) - 1e-12, axis=1)]
         if len(feas):
             assert math.pi * float((x**2).sum()) <= math.pi * float((feas**2).sum(axis=1).min()) + 1e-6
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"a": [[1.0, 1.0, 1.0]], "b": [1.0]},           # row length is not n
+    {"a": [1.0, 1.0], "b": [1.0]},                  # a is not a matrix
+    {"a": [[1.0, 1.0]], "b": [1.0, 2.0]},           # b does not match the rows
+    {"a": [[1.0, 1.0]], "b": 1.0},
+    {"a": [[1.0, 1.0]], "b": None},                 # rows need both sides
+    {"a": None, "b": [1.0]},
+    {"lower_bounds": [0.0]},
+    {"lower_bounds": [[0.0, 0.0]]},
+    {"upper_bounds": [1.0, 1.0, 1.0]},
+])
+def test_lp_and_qp_reject_mismatched_shapes(kwargs):
+    lp_args = {"objective": [1.0, 1.0], "a": [[1.0, 1.0]], "b": [1.0],
+               "lower_bounds": [0.0, 0.0], **kwargs}
+    with pytest.raises(ValueError):
+        LinearProgram(**lp_args)
+    with pytest.raises(ValueError):
+        QuadraticProgram(np.eye(2), [0.0, 0.0], **kwargs)
+
+
+def test_lp_without_rows():
+    x = solve_lp(LinearProgram([1.0, 2.0], np.zeros((0, 2)), np.zeros(0), [0.5, -1.0]))
+    assert x == pytest.approx([0.5, -1.0], abs=1e-12)
