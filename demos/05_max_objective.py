@@ -2,6 +2,8 @@
 """Largest covered objective: the closed-form answer against a bisection
 cross-check built from the decision procedure."""
 
+import numpy as np
+
 from pupilcover import Point, Pupil, PupilConfig, build_acs, decide, max_objective
 
 cfg = PupilConfig(
@@ -20,7 +22,7 @@ print(f"decide at R* + 1e-4:       {decide(PupilConfig(cfg.pupils, r_star + 1e-4
 
 acs = build_acs(cfg)
 lo = 2.0 * max(cfg.radii)
-hi = max(d.center.norm() + d.radius for d in acs.disks) + 0.05
+hi = float(np.max(np.hypot(acs.centers[:, 0], acs.centers[:, 1]) + acs.radii)) + 0.05
 for _ in range(30):
     mid = 0.5 * (lo + hi)
     if decide(PupilConfig(cfg.pupils, mid))[0]:

@@ -126,21 +126,21 @@ def bisector(acs: Acs, a: int, b: int) -> Bisector:
     """Bisector of two ACS disks (a hyperbola branch, or a line for equal
     radii).  Raises ConcentricDisks for coincident centers and EmptyBisector
     when one disk additively dominates the other."""
-    da, db = acs.disks[a], acs.disks[b]
-    dx = db.center.x - da.center.x
-    dy = db.center.y - da.center.y
+    (ax, ay), (bx, by) = acs.centers[[a, b]].tolist()
+    ra, rb = acs.radii[[a, b]].tolist()
+    dx, dy = bx - ax, by - ay
     dist = math.hypot(dx, dy)
     if dist <= TOL:
         raise ConcentricDisks(f"disks {a} and {b} are concentric")
-    semi = abs(db.radius - da.radius) / 2.0
+    semi = abs(rb - ra) / 2.0
     half = dist / 2.0
     if semi >= half:
         raise EmptyBisector(f"disk pair ({a}, {b}) has no equidistant point")
-    mid = Point((da.center.x + db.center.x) / 2.0, (da.center.y + db.center.y) / 2.0)
+    mid = Point((ax + bx) / 2.0, (ay + by) / 2.0)
     axis = (dx / dist, dy / dist)
-    if da.radius == db.radius:
+    if ra == rb:
         return Bisector(a, b, 0.0, half, None, mid, axis, -1)
-    sign = -1 if da.radius < db.radius else 1
+    sign = -1 if ra < rb else 1
     return Bisector(a, b, semi, half, half / semi, mid, axis, sign)
 
 
@@ -596,8 +596,8 @@ def boundary_crossings(acs: Acs, a: int, b: int, radius: float, *,
     see ``_rim_crossings``."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    c = acs.centers_array()
-    px, py, _, _ = _rim_witnesses(c[:, 0], c[:, 1], acs.radii_array(), np.array([a]),
+    c = acs.centers
+    px, py, _, _ = _rim_witnesses(c[:, 0], c[:, 1], acs.radii, np.array([a]),
                                   np.array([b]), radius, tol)
     out = [Point(float(x), float(y)) for x, y in zip(px, py)]
     out.sort(key=lambda p: math.atan2(p.y, p.x))
@@ -647,8 +647,8 @@ def _witness_table(acs: Acs, radius: float, tol: float) -> tuple[np.ndarray, np.
     minimum there.  A vertex within ``tol`` of the rim is a rim crossing.
     A copy of an earlier row within 1e-8 (``_first_copies``) is dropped, and
     the row it copies becomes a rim crossing if the copy is one."""
-    centers = acs.centers_array()
-    radii = acs.radii_array()
+    centers = acs.centers
+    radii = acs.radii
     live = _live_disks(centers, radii, radius, tol)
     cx, cy, rho = centers[live, 0], centers[live, 1], radii[live]
 

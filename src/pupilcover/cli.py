@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import time
 
@@ -40,7 +39,8 @@ _OPTION_FIELDS = tuple(f.name for f in dataclasses.fields(OptimizerConfig))
 
 def _require_number(obj, key: str, context: str) -> float:
     v = obj.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+    # abs(v) <= max is false for NaN, infinities and integers too large for a float.
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= sys.float_info.max:
         raise ConfigError(f"{context}.{key} must be a finite number")
     return float(v)
 
@@ -49,7 +49,7 @@ def parse_config(raw: bytes) -> tuple[PupilConfig, dict]:
     """Parse and validate a config document; unknown keys are rejected."""
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past the digit limit
         raise ConfigError(f"not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top level must be an object")
@@ -219,7 +219,10 @@ def cmd_exhaustive(args, argv_echo) -> int:
     started = time.perf_counter()
     cfg, options, digest = _read_config(args.config)
     opts = _options_from(args, options)
-    best = optimize.exhaustive_search(list(cfg.centers), cfg.objective_radius, opts)
+    try:
+        best = optimize.exhaustive_search(list(cfg.centers), cfg.objective_radius, opts)
+    except ValueError as exc:  # a grid radius theta whose difference disks overflow
+        raise ConfigError(str(exc)) from exc
     result = {
         "config": serialize_config(best),
         "sum_of_radii": float(sum(best.radii)),

@@ -17,8 +17,8 @@ distance and the worst witness.  ``decide``, ``alpha_star``,
 ``per_disk_alpha`` and ``analyze`` are views of it, as are the optimizer's
 relocation rows and the SVG witness marks.  The per-pair enlargements
 (``per_disk_alpha``, ``CoverageReport.per_disk_alpha``) are a read-only
-mapping, ``PairValues``, from every (i, j) to its disk's value; it holds an
-n x n array of disk indices and ``Analysis.disk_alpha``.
+mapping, ``PairValues``, from every (i, j) to its disk's value; it holds the
+ACS's pair-to-disk index ``Acs.pair_disk`` and ``Analysis.disk_alpha``.
 """
 
 from __future__ import annotations
@@ -121,19 +121,10 @@ class Analysis:
             return True, None
         return False, self.worst_point
 
-    def pair_disks(self) -> np.ndarray:
-        """The n x n int32 array whose (i, j) entry is the ACS disk that
-        absorbed the label (i, j)."""
-        disk = np.empty((self.acs.n, self.acs.n), dtype=np.int32)
-        for k, d in enumerate(self.acs.disks):
-            for i, j in d.labels():
-                disk[i, j] = k
-        return disk
-
     def per_pair(self) -> PairValues:
         """Each disk's value seen through every (i, j) label it absorbed,
         as a read-only mapping over ``disk_alpha``."""
-        return PairValues(self.pair_disks(), self.disk_alpha)
+        return PairValues(self.acs.pair_disk, self.disk_alpha)
 
     def unique_points(self) -> np.ndarray:
         """The distinct witness-table points as an (u, 2) array: in
@@ -156,7 +147,7 @@ def _diametral_fallbacks(acs: Acs, radius: float, tol: float) -> tuple[np.ndarra
     additive distance is constant on the rim, so any owned rim point serves;
     (radius, 0) is owned exactly when the disk owns the whole rim without
     crossings, which is the only case where the fallback is needed."""
-    centers, radii = acs.centers_array(), acs.radii_array()
+    centers, radii = acs.centers, acs.radii
     norms = np.hypot(centers[:, 0], centers[:, 1])
     at_origin = norms <= tol
     pts = -radius * centers / np.where(at_origin, 1.0, norms)[:, None]
@@ -183,7 +174,7 @@ def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None, tol: float = TOL
     owner = np.concatenate([owner, extra])[order]
     kind = np.concatenate([kind, np.full(extra.size, DIAMETRAL)])[order]
 
-    centers, radii = acs.centers_array(), acs.radii_array()
+    centers, radii = acs.centers, acs.radii
     values = np.hypot(xy[:, 0] - centers[owner, 0], xy[:, 1] - centers[owner, 1]) - radii[owner]
     disk_alpha = np.full(acs.size, np.nan)
     np.fmax.at(disk_alpha, owner, values)
@@ -226,9 +217,9 @@ def coverage_oracle(cfg: PupilConfig, resolution: int) -> tuple[bool, Point | No
     pts = pts[keep]
 
     uncovered = np.ones(len(pts), dtype=bool)
-    order = np.argsort(-acs.radii_array())
-    centers = acs.centers_array()
-    radii = acs.radii_array()
+    order = np.argsort(-acs.radii)
+    centers = acs.centers
+    radii = acs.radii
     for k in order:
         if not uncovered.any():
             break
@@ -310,9 +301,9 @@ def max_objective(cfg: PupilConfig, *, tol: float = TOL, acs: Acs | None = None)
     corners of the union boundary).  ``acs`` is the configuration's ACS
     when the caller has built it."""
     acs = build_acs(cfg) if acs is None else acs
-    centers = acs.centers_array()
-    radii = acs.radii_array()
-    k0 = acs.origin_index()
+    centers = acs.centers
+    radii = acs.radii
+    k0 = int(acs.pair_disk[0, 0])
     r0 = float(radii[k0])
 
     contained = True
@@ -328,13 +319,14 @@ def max_objective(cfg: PupilConfig, *, tol: float = TOL, acs: Acs | None = None)
             raise NoCoverage("the difference disks have empty interior at the origin")
         return r0
 
+    points = [Point(x, y) for x, y in centers.tolist()]
     best = math.inf
     for a in range(acs.size):
         for b in range(a + 1, acs.size):
             if radii[a] <= tol and radii[b] <= tol:
                 continue
-            for pt in _circle_intersections(acs.disks[a].center, float(radii[a]),
-                                            acs.disks[b].center, float(radii[b])):
+            for pt in _circle_intersections(points[a], float(radii[a]),
+                                            points[b], float(radii[b])):
                 if pt.norm() >= best:
                     continue
                 dmin, _ = delta_min(acs, pt)

@@ -1,5 +1,7 @@
 """Planar primitives: points, disks, additive distance, and assembly of the
-pairwise difference-disk system (the autocorrelation support, ACS)."""
+pairwise difference-disk system (the autocorrelation support, ACS): one
+``Acs`` of arrays, the merged disks' centers and radii and the n x n index
+from each pupil pair to its disk, which every other module reads."""
 
 from __future__ import annotations
 
@@ -82,6 +84,11 @@ class PupilConfig:
             raise ValueError("a configuration needs at least one pupil")
         if not math.isfinite(self.objective_radius) or self.objective_radius <= 0:
             raise ValueError(f"objective radius must be positive, got {objective_radius}")
+        xs = [p.center.x for p in self.pupils]
+        ys = [p.center.y for p in self.pupils]
+        spans = (max(xs) - min(xs), max(ys) - min(ys), 2.0 * max(self.radii))
+        if not all(map(math.isfinite, spans)):
+            raise ValueError("pupil centers or radii too large: the difference disks overflow")
 
     @property
     def n(self) -> int:
@@ -118,56 +125,27 @@ class PupilConfig:
         return self.with_radii(r + amount for r in self.radii)
 
 
-@dataclass(frozen=True)
-class AcsDisk:
-    """One deduplicated difference disk P_i (-) P_j.
-
-    ``i``/``j`` label the representative pupil pair; ``merged_from`` lists
-    the pairs whose (concentric, no larger) disks were absorbed into this one.
-    """
-
-    i: int
-    j: int
-    center: Point
-    radius: float
-    merged_from: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def label(self) -> tuple[int, int]:
-        return (self.i, self.j)
-
-    def labels(self) -> tuple[tuple[int, int], ...]:
-        return (self.label,) + self.merged_from
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Acs:
-    """The deduplicated union of all n^2 pairwise difference disks."""
+    """The deduplicated union of all n^2 pairwise difference disks.
 
-    disks: tuple[AcsDisk, ...]
-    n: int
+    Disk k has center ``centers[k]`` and radius ``radii[k]``, and
+    ``pair_disk[i, j]`` is the disk that absorbed the label (i, j).  A
+    disk's representative is its largest-radius label, ties to the smallest
+    (i, j), and disks are ordered by representative.  Every diagonal label
+    has the exact center (0, 0), so ``pair_disk[0, 0]`` is the origin disk."""
 
-    def __post_init__(self) -> None:
-        centers = np.array([[d.center.x, d.center.y] for d in self.disks], dtype=float)
-        radii = np.array([d.radius for d in self.disks], dtype=float)
-        object.__setattr__(self, "_centers", centers)
-        object.__setattr__(self, "_radii", radii)
+    centers: np.ndarray    # (m, 2) float
+    radii: np.ndarray      # (m,) float
+    pair_disk: np.ndarray  # (n, n) int32
 
     @property
     def size(self) -> int:
-        return len(self.disks)
+        return self.radii.size
 
-    def centers_array(self) -> np.ndarray:
-        return self._centers
-
-    def radii_array(self) -> np.ndarray:
-        return self._radii
-
-    def origin_index(self) -> int:
-        """Index of the origin-centered disk (the merged diagonal); always exists."""
-        norms = np.hypot(self._centers[:, 0], self._centers[:, 1])
-        k = int(np.argmin(norms))
-        return k
+    @property
+    def n(self) -> int:
+        return self.pair_disk.shape[0]
 
 
 def delta(d, x: Point) -> float:
@@ -179,8 +157,8 @@ def delta(d, x: Point) -> float:
 def delta_min(acs: Acs, x: Point) -> tuple[float, int]:
     """Smallest additive distance over all ACS disks and the index of a
     minimizer; ties go to the lowest disk index."""
-    c = acs.centers_array()
-    vals = np.hypot(c[:, 0] - x.x, c[:, 1] - x.y) - acs.radii_array()
+    c = acs.centers
+    vals = np.hypot(c[:, 0] - x.x, c[:, 1] - x.y) - acs.radii
     k = int(np.argmin(vals))
     return float(vals[k]), k
 
@@ -191,45 +169,65 @@ def minkowski_diff(p: Pupil, q: Pupil) -> Disk:
     return Disk(p.center - q.center, p.radius + q.radius)
 
 
+_NEIGHBORS = [(dx, dy) for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0)]
+
+
+def _group_roots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """For each point, the index of its group root: taken in order, a point
+    joins the first root within MERGE_TOL in both coordinates, or becomes a
+    root when there is none."""
+    # Only the first copy of each point is hashed.  The bins are much coarser
+    # than MERGE_TOL and neighbors are searched too, so every root within
+    # tolerance is seen.  Float bins cannot overflow: points beyond 1.8e299
+    # share the infinite bins and are compared one by one.
+    by_xy = np.lexsort((y, x))
+    new = np.ones(x.size, dtype=bool)
+    new[1:] = (x[by_xy[1:]] != x[by_xy[:-1]]) | (y[by_xy[1:]] != y[by_xy[:-1]])
+    first = np.empty(x.size, dtype=np.intp)
+    first[by_xy] = by_xy[new][np.cumsum(new) - 1]  # lexsort is stable
+    at = np.flatnonzero(first == np.arange(x.size))
+    pts = np.column_stack([x[at], y[at]])
+    with np.errstate(over="ignore"):
+        keys = np.floor(pts / 1e-9).tolist()
+    pts = pts.tolist()
+    roots = list(range(len(pts)))
+    bins: dict[tuple[float, float], list[int]] = {}
+    for e, ((ex, ey), (bx, by)) in enumerate(zip(pts, keys)):
+        for dx, dy in _NEIGHBORS:
+            for g in bins.get((bx + dx, by + dy), ()):
+                gx, gy = pts[g]
+                if g < roots[e] and abs(gx - ex) <= MERGE_TOL and abs(gy - ey) <= MERGE_TOL:
+                    roots[e] = g
+        if roots[e] == e:
+            bins.setdefault((bx, by), []).append(e)
+    first[at] = at[roots]
+    return first[first]
+
+
 def build_acs(cfg: PupilConfig) -> Acs:
     """Build all n^2 difference disks and merge exactly-concentric contained
     ones (in particular the n diagonal disks collapse to a single
     origin-centered disk of radius 2*max radius).  The union is preserved
-    exactly and the absorbed pair labels are recorded."""
+    exactly and every pair label maps to the disk that absorbed it.
+
+    The labels (i, j) are taken in row-major order.  Each joins the group
+    of the first group root (a label that started a group) whose center is
+    within MERGE_TOL of its own in both coordinates, or starts a group."""
     n = cfg.n
-    entries = []  # (i, j, cx, cy, radius)
-    for i, p in enumerate(cfg.pupils):
-        for j, q in enumerate(cfg.pupils):
-            entries.append((i, j, p.center.x - q.center.x, p.center.y - q.center.y,
-                            p.radius + q.radius))
-
-    # Spatial hash at a scale much coarser than MERGE_TOL; neighbors checked
-    # so near-identical centers cannot straddle a bin edge.
-    bin_size = 1e-9
-    groups: list[list[tuple[int, int, float, float, float]]] = []
-    bins: dict[tuple[int, int], list[int]] = {}
-    for e in entries:
-        _, _, cx, cy, _ = e
-        bx, by = math.floor(cx / bin_size), math.floor(cy / bin_size)
-        target = None
-        for nb in ((bx + dx, by + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
-            for gi in bins.get(nb, ()):
-                g0 = groups[gi][0]
-                if abs(g0[2] - cx) <= MERGE_TOL and abs(g0[3] - cy) <= MERGE_TOL:
-                    target = gi
-                    break
-            if target is not None:
-                break
-        if target is None:
-            groups.append([e])
-            bins.setdefault((bx, by), []).append(len(groups) - 1)
-        else:
-            groups[target].append(e)
-
-    disks = []
-    for members in groups:
-        rep = max(members, key=lambda e: (e[4], (-e[0], -e[1])))
-        merged = tuple(sorted((e[0], e[1]) for e in members if (e[0], e[1]) != (rep[0], rep[1])))
-        disks.append(AcsDisk(rep[0], rep[1], Point(rep[2], rep[3]), rep[4], merged))
-    disks.sort(key=lambda d: d.label)
-    return Acs(tuple(disks), n)
+    xy = np.array([(p.center.x, p.center.y) for p in cfg.pupils], dtype=float)
+    r = np.array(cfg.radii, dtype=float)
+    cx = (xy[:, None, 0] - xy[None, :, 0]).ravel()
+    cy = (xy[:, None, 1] - xy[None, :, 1]).ravel()
+    rad = (r[:, None] + r[None, :]).ravel()
+    root = _group_roots(cx, cy)
+    # lexsort is stable: within a group, the largest radius, then the
+    # smallest label, comes first.
+    by_group = np.lexsort((-rad, root))
+    starts = np.ones(by_group.size, dtype=bool)
+    starts[1:] = root[by_group[1:]] != root[by_group[:-1]]
+    is_rep = np.zeros(n * n, dtype=bool)
+    is_rep[by_group[starts]] = True
+    rep = np.flatnonzero(is_rep)
+    disk_of_root = np.empty(n * n, dtype=np.int32)
+    disk_of_root[root[rep]] = np.arange(rep.size)
+    return Acs(np.column_stack([cx[rep], cy[rep]]), rad[rep], disk_of_root[root].reshape(n, n))

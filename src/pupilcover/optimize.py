@@ -10,8 +10,9 @@ Each pass of either family builds one witness analysis of the current
 configuration (``coverage.build_analysis``) and reads everything it needs
 from it as arrays, together with the trace's coverage flag: the radius
 program's rows ``a @ rho >= b``, one per pupil pair (i, j) in row-major
-order, taken from ``Analysis.disk_alpha`` through the pair-to-disk index,
-or the relocation rows up to the least-squares matrix.  Either family with
+order, taken from ``Analysis.disk_alpha`` through the ACS's pair-to-disk
+index ``Acs.pair_disk``, or the relocation rows up to the least-squares
+matrix, selected from the same index.  Either family with
 k passes therefore builds k + 1 witness tables, the last one only for the
 final configuration's flag.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,16 +57,18 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         for name in ("epsilon", "theta", "min_radius", "max_radius"):
             v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    or name == "max_radius" and v is None):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
+            if name == "max_radius" and v is None:
+                continue
+            # False for NaN, infinities and integers too large for a float.
+            finite = isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max
+            if isinstance(v, bool) or not finite:
+                raise ValueError(f"{name} must be a finite real number, got {v!r}")
         for name, least in (("max_iterations", 1), ("relocation_iterations", 0)):
             v = getattr(self, name)
             if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
         if not isinstance(self.forbid_overlap, bool):
             raise ValueError(f"forbid_overlap must be a bool, got {self.forbid_overlap!r}")
-        # Written so that NaN fails each comparison.
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not self.theta > 0:
@@ -107,7 +111,7 @@ def _radius_constraints(an: Analysis, opts: OptimizerConfig) -> tuple[np.ndarray
     no-overlap rows -rho_i - rho_j >= -|c_i - c_j| for i < j."""
     cfg = an.cfg
     n = cfg.n
-    alpha = an.disk_alpha[an.pair_disks()].ravel()
+    alpha = an.disk_alpha[an.acs.pair_disk].ravel()
     pair = np.flatnonzero(~np.isnan(alpha))
     i, j = np.divmod(pair, n)
     radii = np.array(cfg.radii)
@@ -194,13 +198,14 @@ def relocation_targets(cfg: PupilConfig) -> list[tuple[int, int, Point]]:
 def _relocation_rows(an: Analysis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``relocation_targets`` of the analysed configuration as arrays: the
     labels i and j and the (rows, 2) witness targets, ordered by disk, then
-    label, then witness."""
-    radii = an.cfg.radii
+    label (i, j) in row-major order, then witness."""
+    pair_disk = an.acs.pair_disk.ravel()
+    radii = np.array(an.cfg.radii)
+    i, j = np.divmod(np.arange(pair_disk.size), an.cfg.n)
     # The difference of a center with itself carries no gradient.
-    labels = np.array([(k, i, j) for k, disk in enumerate(an.acs.disks) for i, j in disk.labels()
-                       if i != j and radii[i] + radii[j] >= disk.radius - 1e-12],
-                      dtype=np.intp).reshape(-1, 3)
-    disk, i, j = labels.T
+    keep = (i != j) & (radii[i] + radii[j] >= an.acs.radii[pair_disk] - 1e-12)
+    label = np.flatnonzero(keep)[np.argsort(pair_disk[keep], kind="stable")]
+    disk, i, j = pair_disk[label], i[label], j[label]
     wit = np.flatnonzero(an.kind != DIAMETRAL)
     owner = an.owner[wit]
     # Each label takes all witnesses of its disk: row r is witness step[r]
@@ -298,7 +303,8 @@ def exhaustive_search(centers: list[Point], radius: float,
     if n < 1:
         raise ValueError("need at least one center")
     theta = opts.theta
-    cap = int(math.ceil(radius / (2.0 * theta) - 1e-9))
+    # One pupil of radius cap * theta >= radius / 2 covers by itself.
+    cap = max(1, int(math.ceil(radius / (2.0 * theta) - 1e-9)))
     if float(cap + 1) ** n > 1e8:
         raise SearchSpaceTooLarge(
             f"{(cap + 1) ** n} grid points exceed the 1e8 enumeration guard"

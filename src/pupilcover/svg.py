@@ -50,10 +50,10 @@ def render_svg(cfg: PupilConfig, layers=LAYERS) -> str:
     ]
     acs = build_acs(cfg) if "acs" in wanted or "diagram" in wanted else None
     if "acs" in wanted:
-        for d in acs.disks:
+        for (x, y), r in zip(acs.centers.tolist(), acs.radii.tolist()):
             parts.append(
-                f'<circle class="acs" cx="{_fmt(px(d.center.x))}" cy="{_fmt(py(d.center.y))}" '
-                f'r="{_fmt(scale(d.radius))}" fill="#9ecae1" fill-opacity="0.25" '
+                f'<circle class="acs" cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" '
+                f'r="{_fmt(scale(r))}" fill="#9ecae1" fill-opacity="0.25" '
                 f'stroke="#3182bd" stroke-width="1.5"/>'
             )
     if "pupils" in wanted:

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from pupilcover import Point, Pupil, PupilConfig
+from pupilcover import Acs, Disk, Point, Pupil, PupilConfig
 
 
 def random_config(rng: np.random.Generator, n: int, radius: float = 1.0) -> PupilConfig:
@@ -45,6 +45,18 @@ def g4_lattice(kind: str, rho: float, radius: float) -> PupilConfig:
             else:
                 pts.append(Point(i + 0.5 * j, j * math.sqrt(3.0) / 2.0))
     return PupilConfig([Pupil(p, rho) for p in pts], radius)
+
+
+def acs_of_disks(disks) -> Acs:
+    """Raw disks as an Acs with no pupil pairs, bypassing pupil construction."""
+    centers = np.array([(d.center.x, d.center.y) for d in disks], dtype=float).reshape(-1, 2)
+    radii = np.array([d.radius for d in disks], dtype=float)
+    return Acs(centers, radii, np.zeros((0, 0), dtype=np.int32))
+
+
+def acs_disks(acs: Acs) -> list[Disk]:
+    """The ACS disks as Disk objects, for the scalar reference code."""
+    return [Disk(Point(x, y), r) for (x, y), r in zip(acs.centers.tolist(), acs.radii.tolist())]
 
 
 def count_calls(monkeypatch, home: str, name: str) -> list:

@@ -39,8 +39,8 @@ from pupilcover import (
     three_pupil_optimal,
     verify_difference_cover,
 )
-from pupilcover.geom import Acs, AcsDisk, Disk
-from tests.conftest import near_collinear_start, random_config
+from pupilcover.geom import Disk
+from tests.conftest import acs_disks, acs_of_disks, near_collinear_start, random_config
 from tests.test_solver import _enumerate_vertices, _projected_gradient
 
 
@@ -215,7 +215,7 @@ def test_08_max_objective_vs_bisection():
         r_star = max_objective(cfg)
         acs = build_acs(cfg)
         lo = 2.0 * max(cfg.radii)
-        hi = max(d.center.norm() + d.radius for d in acs.disks) + 0.05
+        hi = max(d.center.norm() + d.radius for d in acs_disks(acs)) + 0.05
         assert decide(PupilConfig(cfg.pupils, lo))[0]
         assert not decide(PupilConfig(cfg.pupils, hi))[0]
         for _ in range(24):
@@ -245,7 +245,7 @@ def test_09_bisector_profile_numerics():
             continue
         pairs += 1
         disks = [Disk(c1, r1), Disk(c2, r2)]
-        acs = Acs(tuple(AcsDisk(0, k, dk.center, dk.radius) for k, dk in enumerate(disks)), 2)
+        acs = acs_of_disks(disks)
         b = bisector(acs, 0, 1)
         ts = np.linspace(-3.0, 3.0, 200)
         vals = []

@@ -32,7 +32,7 @@ from pupilcover import (
 )
 from pupilcover.apollonius import (BOUNDARY_CROSSING, INTERIOR_VERTEX, _first_copies, _live_disks,
                                    _witness_table)
-from tests.conftest import g4_lattice, near_collinear_start
+from tests.conftest import acs_disks, acs_of_disks, g4_lattice, near_collinear_start
 
 
 def _random_disk_pair(rng, distinct_radii=True):
@@ -51,31 +51,21 @@ def _random_disk_pair(rng, distinct_radii=True):
         return Disk(c1, r1), Disk(c2, r2)
 
 
-def _acs_of_disks(disks):
-    """Bypass pupil construction: wrap raw disks in an Acs-like container."""
-    from pupilcover.geom import Acs, AcsDisk
-
-    wrapped = tuple(
-        AcsDisk(0, k, d.center, d.radius) for k, d in enumerate(disks)
-    )
-    return Acs(wrapped, len(disks))
-
-
 def test_bisector_equal_radii_is_line():
-    acs = _acs_of_disks([Disk(Point(-1, 0), 0.4), Disk(Point(1, 0), 0.4)])
+    acs = acs_of_disks([Disk(Point(-1, 0), 0.4), Disk(Point(1, 0), 0.4)])
     b = bisector(acs, 0, 1)
     assert b.is_line
     for t in (-2.0, -0.5, 0.0, 1.0, 3.0):
         pt = bisector_point(b, t)
         assert pt.x == pytest.approx(0.0, abs=1e-12)  # the line x = 0
-        assert abs(delta(acs.disks[0], pt) - delta(acs.disks[1], pt)) <= 1e-9
+        assert abs(delta(acs_disks(acs)[0], pt) - delta(acs_disks(acs)[1], pt)) <= 1e-9
     # line parameter is the signed distance from the midpoint
     assert bisector_point(b, 1.5).distance_to(Point(0, 0)) == pytest.approx(1.5)
     assert bisector_point(b, -1.5).distance_to(Point(0, 0)) == pytest.approx(1.5)
 
 
 def test_bisector_hyperbola_parameters():
-    acs = _acs_of_disks([Disk(Point(-1, 0), 0.0), Disk(Point(1, 0), 1.0)])
+    acs = acs_of_disks([Disk(Point(-1, 0), 0.0), Disk(Point(1, 0), 1.0)])
     b = bisector(acs, 0, 1)
     assert b.semi_axis == pytest.approx(0.5)
     assert b.focal_half_distance == pytest.approx(1.0)
@@ -87,13 +77,13 @@ def test_bisector_hyperbola_parameters():
 
 
 def test_bisector_concentric_raises():
-    acs = _acs_of_disks([Disk(Point(0, 0), 0.2), Disk(Point(0, 0), 0.5)])
+    acs = acs_of_disks([Disk(Point(0, 0), 0.2), Disk(Point(0, 0), 0.5)])
     with pytest.raises(ConcentricDisks):
         bisector(acs, 0, 1)
 
 
 def test_bisector_dominated_pair_raises():
-    acs = _acs_of_disks([Disk(Point(0, 0), 1.0), Disk(Point(0.2, 0), 0.1)])
+    acs = acs_of_disks([Disk(Point(0, 0), 1.0), Disk(Point(0.2, 0), 0.1)])
     with pytest.raises(EmptyBisector):
         bisector(acs, 0, 1)
 
@@ -101,7 +91,7 @@ def test_bisector_dominated_pair_raises():
 def test_bisector_defining_property(rng):
     for _ in range(30):
         d1, d2 = _random_disk_pair(rng, distinct_radii=False)
-        acs = _acs_of_disks([d1, d2])
+        acs = acs_of_disks([d1, d2])
         b = bisector(acs, 0, 1)
         for t in np.linspace(-3, 3, 41):
             pt = bisector_point(b, float(t))
@@ -110,7 +100,7 @@ def test_bisector_defining_property(rng):
 
 def test_bisector_point_injective_and_continuous(rng):
     d1, d2 = _random_disk_pair(rng)
-    acs = _acs_of_disks([d1, d2])
+    acs = acs_of_disks([d1, d2])
     b = bisector(acs, 0, 1)
     ts = np.linspace(-2, 2, 101)
     pts = [bisector_point(b, float(t)) for t in ts]
@@ -124,7 +114,7 @@ def test_unimodal_distance_profile(rng):
     then rises again (checked at the apex-centered parametrization)."""
     for _ in range(30):
         d1, d2 = _random_disk_pair(rng, distinct_radii=False)
-        acs = _acs_of_disks([d1, d2])
+        acs = acs_of_disks([d1, d2])
         b = bisector(acs, 0, 1)
         ts = np.linspace(-3, 3, 200)
         vals = [delta(d1, bisector_point(b, float(t))) for t in ts]
@@ -140,7 +130,7 @@ def test_focal_distance_linear_law(rng):
     canonical frame."""
     for _ in range(30):
         d1, d2 = _random_disk_pair(rng, distinct_radii=True)
-        acs = _acs_of_disks([d1, d2])
+        acs = acs_of_disks([d1, d2])
         b = bisector(acs, 0, 1)
         e = b.eccentricity
         for t in np.linspace(-3, 3, 50):
@@ -155,7 +145,7 @@ def test_cell_edge_arc_stays_in_spanning_disk(rng):
     center that contains the arc endpoints (consequence of unimodality)."""
     for _ in range(20):
         d1, d2 = _random_disk_pair(rng, distinct_radii=False)
-        acs = _acs_of_disks([d1, d2])
+        acs = acs_of_disks([d1, d2])
         b = bisector(acs, 0, 1)
         t1, t2 = sorted(rng.uniform(-2.5, 2.5, size=2))
         p = bisector_point(b, float(t1))
@@ -237,7 +227,7 @@ def test_is_global_vertex():
 
 
 def test_boundary_crossings_symmetric_pair():
-    acs = _acs_of_disks([Disk(Point(-1, 0), 1.0), Disk(Point(1, 0), 1.0)])
+    acs = acs_of_disks([Disk(Point(-1, 0), 1.0), Disk(Point(1, 0), 1.0)])
     pts = boundary_crossings(acs, 0, 1, 2.0)
     ys = sorted(round(p.y, 9) for p in pts)
     assert len(pts) == 2
@@ -246,9 +236,9 @@ def test_boundary_crossings_symmetric_pair():
 
 
 def test_boundary_crossings_no_intersection():
-    acs = _acs_of_disks([Disk(Point(-0.1, 0), 0.2), Disk(Point(0.1, 0), 0.2)])
+    acs = acs_of_disks([Disk(Point(-0.1, 0), 0.2), Disk(Point(0.1, 0), 0.2)])
     # bisector is the y-axis, which meets |x| = R; move the pair far away instead
-    acs = _acs_of_disks([Disk(Point(5.0, 0), 0.2), Disk(Point(6.0, 0), 0.2)])
+    acs = acs_of_disks([Disk(Point(5.0, 0), 0.2), Disk(Point(6.0, 0), 0.2)])
     pts = boundary_crossings(acs, 0, 1, 1.0)
     assert pts == []
 
@@ -256,7 +246,7 @@ def test_boundary_crossings_no_intersection():
 def test_boundary_crossings_residuals(rng):
     for _ in range(10):
         d1, d2 = _random_disk_pair(rng, distinct_radii=False)
-        acs = _acs_of_disks([d1, d2])
+        acs = acs_of_disks([d1, d2])
         radius = float(rng.uniform(0.5, 2.0))
         for pt in boundary_crossings(acs, 0, 1, radius):
             assert abs(pt.norm() - radius) <= 1e-9
@@ -288,7 +278,7 @@ def _close_crossing_pairs():
 
 @pytest.mark.parametrize("disks, radius", _close_crossing_pairs(), ids=["hyperbola", "line"])
 def test_boundary_crossings_closer_than_a_grid_step(disks, radius):
-    acs = _acs_of_disks(disks)
+    acs = acs_of_disks(disks)
     assert _scan_crossings(acs, 0, 1, radius) == []  # the former grid scan misses both
     pts = boundary_crossings(acs, 0, 1, radius)
     assert len(pts) == 2
@@ -306,7 +296,7 @@ def test_boundary_crossings_closer_than_a_grid_step(disks, radius):
     ([Disk(_turned(0.8, 0.0, 0.3), 0.05), Disk(_turned(0.2, 0.0, 0.3), 0.25)], 0.6, 0.3),
 ], ids=["line", "hyperbola"])
 def test_boundary_crossings_tangent_bisector(disks, radius, touch):
-    pts = boundary_crossings(_acs_of_disks(disks), 0, 1, radius)
+    pts = boundary_crossings(acs_of_disks(disks), 0, 1, radius)
     assert len(pts) == 1
     assert pts[0].distance_to(_turned(radius, 0.0, touch)) <= 1e-8
     assert abs(pts[0].norm() - radius) <= 1e-12
@@ -325,7 +315,7 @@ def test_boundary_crossings_equal_radii_line(rng):
         nx, ny = d2.center.x - d1.center.x, d2.center.y - d1.center.y
         norm = math.hypot(nx, ny)
         offset = ((d1.center.x + d2.center.x) * nx + (d1.center.y + d2.center.y) * ny) / (2.0 * norm)
-        pts = boundary_crossings(_acs_of_disks([d1, d2]), 0, 1, radius)
+        pts = boundary_crossings(acs_of_disks([d1, d2]), 0, 1, radius)
         if abs(offset) >= radius:
             assert pts == []
             continue
@@ -349,19 +339,20 @@ def test_vertex_sets_two_pupil_invariants():
     cfg = PupilConfig([Pupil(Point(0, 0), 0.3), Pupil(Point(1, 0), 0.2)], 1.0)
     acs = build_acs(cfg)
     vsets = vertex_sets(acs, 1.0)
+    disks = acs_disks(acs)
     total = 0
     for vs in vsets:
         for pt, kind in vs.points:
             total += 1
             dmin, _ = delta_min(acs, pt)
-            assert delta(acs.disks[vs.disk], pt) <= dmin + 1e-9
+            assert delta(disks[vs.disk], pt) <= dmin + 1e-9
             if kind == "boundary_crossing":
                 assert abs(pt.norm() - 1.0) <= 1e-9
             else:
                 assert pt.norm() <= 1.0 + 1e-9
                 owners = [
                     k for k in range(acs.size)
-                    if delta(acs.disks[k], pt) <= dmin + 1e-9
+                    if delta(disks[k], pt) <= dmin + 1e-9
                 ]
                 assert len(owners) >= 3
     assert total > 0
@@ -371,7 +362,7 @@ def test_vertex_sets_symmetric_triple_shares_centroid():
     side = 2.0 * math.sqrt(3.0)
     # three point pupils whose pairwise differences recreate the equilateral
     # triple is fiddly; instead feed the raw disks through the Acs wrapper
-    acs = _acs_of_disks(
+    acs = acs_of_disks(
         [
             Disk(Point(0.0, 2.0), 1.0),
             Disk(Point(-side / 2.0, -1.0), 1.0),
@@ -405,8 +396,8 @@ def test_vertex_reproduced_by_grid_scan(rng):
         if kind == "interior_vertex"
     }
     assert vertices, "expected at least one interior vertex for this layout"
-    centers = acs.centers_array()
-    radii = acs.radii_array()
+    centers = acs.centers
+    radii = acs.radii
     for vx, vy in vertices:
         h = 0.004
         xs = np.linspace(vx - 0.04, vx + 0.04, 21)
@@ -431,8 +422,8 @@ def _scan_crossings(acs, a, b, radius, *, samples=720, tol=TOL):
     with |f| <= 1e-15 are kept as they are), then the points where both disks
     attain the global minimum.  Two crossings closer than one grid step can
     be missed."""
-    c = acs.centers_array()
-    rho = acs.radii_array()
+    c = acs.centers
+    rho = acs.radii
 
     def diff(t):
         x, y = radius * np.cos(t), radius * np.sin(t)
@@ -460,7 +451,7 @@ def _scan_crossings(acs, a, b, radius, *, samples=720, tol=TOL):
     for t in roots:
         pt = Point(radius * math.cos(t), radius * math.sin(t))
         dmin, _ = delta_min(acs, pt)
-        if delta(acs.disks[a], pt) <= dmin + tol and delta(acs.disks[b], pt) <= dmin + tol:
+        if delta(acs_disks(acs)[a], pt) <= dmin + tol and delta(acs_disks(acs)[b], pt) <= dmin + tol:
             out.append(pt)
     return out
 
@@ -469,7 +460,7 @@ def _reference_vertex_sets(acs, radius, *, tol=TOL):
     """Witness sets built one triple and one pair at a time from scalar
     pieces: ``tri_disk_vertices`` and ``is_global_vertex`` for the vertices,
     the grid scan ``_scan_crossings`` for the rim, owners by ``delta_min``."""
-    disks = acs.disks
+    disks = acs_disks(acs)
 
     def pair_ok(a, b):
         dist = disks[a].center.distance_to(disks[b].center)
@@ -562,7 +553,7 @@ def test_batched_vertex_sets_match_scalar_reference(cfg, monkeypatch):
 
 
 def test_batched_vertex_sets_collinear_distinct_radii():
-    acs = _acs_of_disks([
+    acs = acs_of_disks([
         Disk(Point(-0.1951573433245739, 0.0), 0.42211552),
         Disk(Point(1.1930328243256465, 0.0), 0.19620233),
         Disk(Point(1.4225585797777662, 0.0), 0.24651151),
@@ -573,11 +564,11 @@ def test_batched_vertex_sets_collinear_distinct_radii():
 
 
 def test_vertex_sets_fewer_than_three_disks():
-    acs = _acs_of_disks([Disk(Point(-1, 0), 1.0), Disk(Point(1, 0), 1.0)])
+    acs = acs_of_disks([Disk(Point(-1, 0), 1.0), Disk(Point(1, 0), 1.0)])
     got = vertex_sets(acs, 2.0)
     assert all(kind == "boundary_crossing" for vs in got for _, kind in vs.points)
     _assert_contains(got, _reference_vertex_sets(acs, 2.0))
-    far = _acs_of_disks([Disk(Point(5.0, 0), 0.2), Disk(Point(6.0, 0), 0.2)])
+    far = acs_of_disks([Disk(Point(5.0, 0), 0.2), Disk(Point(6.0, 0), 0.2)])
     assert all(vs.points == () for vs in vertex_sets(far, 1.0))
 
 
@@ -586,7 +577,7 @@ def test_vertex_sets_fewer_than_three_disks():
     [Disk(Point(0, 0), 1.0), Disk(Point(0.1, 0), 0.5), Disk(Point(0, 0.1), 0.3)],  # nested
 ])
 def test_vertex_sets_no_surviving_pair_is_all_empty(disks):
-    vsets = vertex_sets(_acs_of_disks(disks), 1.0)
+    vsets = vertex_sets(acs_of_disks(disks), 1.0)
     assert [vs.disk for vs in vsets] == [0, 1, 2]
     assert all(vs.points == () for vs in vsets)
 
@@ -598,11 +589,11 @@ def test_lattice_hole_vertex_once_per_owner():
     and no owner keeps two rows within 1e-8."""
     cfg = g4_lattice("square", math.sqrt(2.0) / 4.0, 2.5)
     acs = build_acs(cfg)
-    centers = acs.centers_array()
+    centers = acs.centers
     tie = [k for k, c in enumerate(centers.tolist()) if c in ([0, 0], [1, 0], [0, 1], [1, 1])]
     assert len(tie) == 4
     copies = [pt for a, b, c in combinations(tie, 3)
-              for pt, _ in tri_disk_vertices(*(acs.disks[k] for k in (a, b, c)))
+              for pt, _ in tri_disk_vertices(*(acs_disks(acs)[k] for k in (a, b, c)))
               if abs(pt.x - 0.5) <= 1e-8 and abs(pt.y - 0.5) <= 1e-8]
     assert len(copies) == 4
 
@@ -628,7 +619,7 @@ def test_rim_vertex_once_per_owner_as_crossing(inset):
     tol; at inset 5e-9 it is an interior vertex whose kind the later rim
     crossings upgrade, and the vertex's own position is kept."""
     v = (1.0 - inset, 0.0)
-    acs = _acs_of_disks([Disk(Point(v[0] + 0.5 * math.cos(t), v[1] + 0.5 * math.sin(t)), 0.1)
+    acs = acs_of_disks([Disk(Point(v[0] + 0.5 * math.cos(t), v[1] + 0.5 * math.sin(t)), 0.1)
                          for t in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)])
     xy, owner, kind = _witness_table(acs, 1.0, TOL)
     at_v = np.flatnonzero((np.abs(xy[:, 0] - v[0]) <= 1e-8) & (np.abs(xy[:, 1] - v[1]) <= 1e-8))
@@ -699,5 +690,5 @@ def test_cell_mask_keeps_few_disks_on_prime_design():
     cfg = prime_design(4.0, 1.0 / math.sqrt(2.0)).config
     acs = build_acs(cfg)
     assert acs.size == 289
-    live = _live_disks(acs.centers_array(), acs.radii_array(), cfg.objective_radius, TOL)
+    live = _live_disks(acs.centers, acs.radii, cfg.objective_radius, TOL)
     assert live.size <= 100

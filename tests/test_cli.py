@@ -73,8 +73,20 @@ def test_config_round_trip():
                 ("theta", None),
                 ("min_radius", [0.1]),
                 ("max_radius", False),
+                ("epsilon", 10**400),
+                ("epsilon", math.nan),
+                ("theta", 10**400),
+                ("theta", math.inf),
+                ("min_radius", 10**400),
+                ("max_radius", 10**400),
+                ("max_radius", math.inf),
             ]
         ),
+        ({"objective_radius": 10**400, "pupils": [{"x": 0, "y": 0, "r": 0.1}]}, "objective_radius"),
+        ({"objective_radius": 1.0, "pupils": [{"x": 10**400, "y": 0, "r": 0.1}]}, "pupils[0].x"),
+        ({"objective_radius": 1.0, "pupils": [{"x": -1e308, "y": 0, "r": 0.1},
+                                              {"x": 1e308, "y": 0, "r": 0.1}]}, "overflow"),
+        ({"objective_radius": 1.0, "pupils": [{"x": 0, "y": 0, "r": 1e308}]}, "overflow"),
     ],
 )
 def test_config_validation_errors(payload, fragment):
@@ -185,11 +197,53 @@ def test_minsum_iteration_limit_exit_3(tmp_path, capsys):
     ("minsum", "--max-iterations", "0", "max_iterations"),
     ("minarea", "--max-iterations", "-3", "max_iterations"),
     ("move", "--iterations", "-2", "relocation_iterations"),
+    ("minsum", "--min-radius", "1e400", "min_radius"),
+    ("minarea", "--max-radius", "inf", "max_radius"),
+    ("move", "--epsilon", "nan", "epsilon"),
+    ("exhaustive", "--theta", "inf", "theta"),
 ])
 def test_option_flags_out_of_range_exit_2(tmp_path, capsys, command, flag, value, field):
     code, out, err = run(capsys, command, write_config(tmp_path, UNCOVERED), flag, value)
     assert code == 2 and out == ""
     assert field in err
+
+
+@pytest.mark.parametrize("command,payload,fragment", [
+    ("decide", {"objective_radius": 10**400, "pupils": [{"x": 0, "y": 0, "r": 0.1}]},
+     "objective_radius"),
+    ("minsum", {**UNCOVERED, "options": {"max_radius": 10**400}}, "max_radius"),
+    ("exhaustive", {**UNCOVERED, "options": {"theta": math.inf}}, "theta"),
+    ("decide", {"objective_radius": 1.0, "pupils": [{"x": -1e308, "y": 0, "r": 0.1},
+                                                    {"x": 1e308, "y": 0, "r": 0.1}]}, "overflow"),
+    ("alpha", {"objective_radius": 1.0, "pupils": [{"x": 0, "y": 0, "r": 1e308}]}, "overflow"),
+], ids=["huge objective", "huge max_radius", "infinite theta", "far pupils", "huge radius"])
+def test_unrepresentable_numbers_exit_2(tmp_path, capsys, command, payload, fragment):
+    """Numbers that are no finite float, or designs whose difference disks
+    overflow, are input errors, not tracebacks or verdicts."""
+    code, out, err = run(capsys, command, write_config(tmp_path, payload))
+    assert code == 2 and out == ""
+    assert fragment in err and "Traceback" not in err
+
+
+def test_integer_past_the_digit_limit_exit_2(tmp_path, capsys):
+    """The json module rejects an integer literal of more than 4300 digits
+    with a plain ValueError, which is an input error too."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"objective_radius": 1' + "0" * 5000 + ', "pupils": [{"x": 0, "y": 0, "r": 0.3}]}',
+                    encoding="utf-8")
+    code, out, err = run(capsys, "decide", str(path))
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
+def test_exhaustive_theta_beyond_objective(tmp_path, capsys):
+    """A grid step of at least R/2 still tries one multiple, which covers by
+    itself; a step whose difference disk overflows is an input error."""
+    path = write_config(tmp_path, UNCOVERED)
+    code, out, _ = run(capsys, "exhaustive", path, "--theta", "1e300")
+    assert code == 0
+    assert json.loads(out)["result"]["sum_of_radii"] == 1e300
+    code, out, err = run(capsys, "exhaustive", path, "--theta", "1e308")
+    assert code == 2 and out == "" and "overflow" in err
 
 
 def test_render_empty_config_exit_2(tmp_path, capsys):

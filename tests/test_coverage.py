@@ -20,7 +20,7 @@ from pupilcover import (
     per_disk_alpha,
 )
 from pupilcover.coverage import build_analysis
-from tests.conftest import count_calls, g4_lattice, random_config
+from tests.conftest import acs_disks, count_calls, g4_lattice, random_config
 
 
 def two_pupil_example() -> PupilConfig:
@@ -174,8 +174,8 @@ def test_independent_disk_level_enlargement_covers(rng):
         acs = build_acs(cfg)
         alphas = per_disk_alpha(cfg)
         grown = []
-        for d in acs.disks:
-            a = alphas[d.label]
+        for k, d in enumerate(acs_disks(acs)):
+            a = alphas[tuple(np.argwhere(acs.pair_disk == k)[0].tolist())]
             bump = max(a, 0.0) if a is not None else 0.0
             grown.append((d.center, d.radius + bump + 1e-9))
         radius = cfg.objective_radius
@@ -289,8 +289,9 @@ def test_views_of_one_analysis_agree_on_lattices(kind, rho, radius):
 def _dict_fan_out(an):
     """Reference for the per-pair view: a dict of each disk's value for
     every label it absorbed, None for NaN."""
-    return {(i, j): None if math.isnan(a) else a
-            for a, disk in zip(an.disk_alpha.tolist(), an.acs.disks) for i, j in disk.labels()}
+    alpha = an.disk_alpha.tolist()
+    return {(i, j): None if math.isnan(alpha[k]) else alpha[k]
+            for (i, j), k in np.ndenumerate(an.acs.pair_disk)}
 
 
 @pytest.mark.parametrize("kind, rho, radius", _G4_LATTICES)
@@ -302,7 +303,7 @@ def test_per_pair_view_matches_dict_fan_out(kind, rho, radius):
     cfg = g4_lattice(kind, rho, radius)
     an = build_analysis(cfg)
     old = _dict_fan_out(an)
-    assert any(d.merged_from for d in an.acs.disks) and None in old.values()
+    assert an.acs.size < cfg.n ** 2 and None in old.values()
     view = an.per_pair()
     assert isinstance(view, Mapping)
     assert view == old and old == view

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from pupilcover import (
+    MERGE_TOL,
     Disk,
     Point,
     Pupil,
@@ -11,8 +13,9 @@ from pupilcover import (
     delta,
     delta_min,
     minkowski_diff,
+    prime_design,
 )
-from tests.conftest import random_config
+from tests.conftest import acs_disks, g4_lattice, random_config
 
 
 def test_delta_center_boundary_outside():
@@ -69,23 +72,24 @@ def test_minkowski_diff_cases():
 
 def test_build_acs_single_pupil():
     acs = build_acs(PupilConfig([Pupil(Point(5, 5), 0.3)], 1.0))
-    assert acs.size == 1
-    d = acs.disks[0]
-    assert (d.center.x, d.center.y) == (0.0, 0.0)
-    assert d.radius == pytest.approx(0.6)
+    assert acs.size == 1 and acs.n == 1
+    assert acs.centers.tolist() == [[0.0, 0.0]]
+    assert acs.radii[0] == pytest.approx(0.6)
+    assert acs.pair_disk.tolist() == [[0]]
 
 
 def test_build_acs_two_pupils_merges_diagonal():
     cfg = PupilConfig([Pupil(Point(0, 0), 0.3), Pupil(Point(1, 0), 0.2)], 1.0)
     acs = build_acs(cfg)
     assert acs.size == 3
-    by_label = {d.label: d for d in acs.disks}
-    origin = by_label[(0, 0)]
-    assert origin.radius == pytest.approx(0.6)
-    assert origin.merged_from == ((1, 1),)
-    assert by_label[(0, 1)].center == Point(-1.0, 0.0)
-    assert by_label[(0, 1)].radius == pytest.approx(0.5)
-    assert by_label[(1, 0)].center == Point(1.0, 0.0)
+    # disks in representative order (0, 0), (0, 1), (1, 0); (1, 1) merged
+    # into the origin disk of (0, 0)
+    assert acs.pair_disk.dtype == np.int32
+    assert acs.pair_disk.tolist() == [[0, 1], [2, 0]]
+    assert acs.centers.tolist() == [[0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]
+    assert acs.radii[0] == pytest.approx(0.6)
+    assert acs.radii[1] == pytest.approx(0.5)
+    assert acs.radii[2] == pytest.approx(0.5)
 
 
 def test_acs_central_symmetry(rng):
@@ -93,10 +97,12 @@ def test_acs_central_symmetry(rng):
         cfg = random_config(rng, int(rng.integers(1, 6)))
         acs = build_acs(cfg)
         entries = sorted(
-            (round(d.center.x, 9), round(d.center.y, 9), round(d.radius, 9)) for d in acs.disks
+            (round(x, 9), round(y, 9), round(r, 9))
+            for (x, y), r in zip(acs.centers.tolist(), acs.radii.tolist())
         )
         mirrored = sorted(
-            (round(-d.center.x, 9), round(-d.center.y, 9), round(d.radius, 9)) for d in acs.disks
+            (round(-x, 9), round(-y, 9), round(r, 9))
+            for (x, y), r in zip(acs.centers.tolist(), acs.radii.tolist())
         )
         assert entries == mirrored
 
@@ -105,22 +111,106 @@ def test_acs_merge_invariants(rng):
     for _ in range(5):
         cfg = random_config(rng, int(rng.integers(2, 6)))
         acs = build_acs(cfg)
-        for d in acs.disks:
-            # representative label reproduces its own center and radius
-            pi, pj = cfg.pupils[d.i], cfg.pupils[d.j]
-            assert d.center.x == pytest.approx(pi.center.x - pj.center.x, abs=1e-12)
-            assert d.radius == pytest.approx(pi.radius + pj.radius, abs=1e-12)
-            for (i, j) in d.merged_from:
+        assert acs.pair_disk.shape == (cfg.n, cfg.n) and acs.n == cfg.n
+        # every disk absorbed at least one label
+        assert sorted(set(acs.pair_disk.ravel().tolist())) == list(range(acs.size))
+        reps = []
+        for k in range(acs.size):
+            labels = [(int(i), int(j)) for i, j in np.argwhere(acs.pair_disk == k)]
+            for i, j in labels:
                 qi, qj = cfg.pupils[i], cfg.pupils[j]
-                assert abs((qi.center.x - qj.center.x) - d.center.x) <= 1e-12
-                assert abs((qi.center.y - qj.center.y) - d.center.y) <= 1e-12
-                assert qi.radius + qj.radius <= d.radius + 1e-12
-        labels = [lab for d in acs.disks for lab in d.labels()]
-        assert sorted(labels) == sorted((i, j) for i in range(cfg.n) for j in range(cfg.n))
-        # exactly one origin-centered disk survives, at twice the max radius
-        at_origin = [d for d in acs.disks if d.center.norm() <= 1e-12]
-        assert len(at_origin) == 1
-        assert at_origin[0].radius == pytest.approx(2.0 * max(cfg.radii), abs=1e-12)
+                assert abs((qi.center.x - qj.center.x) - acs.centers[k, 0]) <= 1e-12
+                assert abs((qi.center.y - qj.center.y) - acs.centers[k, 1]) <= 1e-12
+                assert qi.radius + qj.radius <= acs.radii[k] + 1e-12
+            # representative label reproduces its own center and radius
+            i, j = max(labels, key=lambda lab: (cfg.radii[lab[0]] + cfg.radii[lab[1]],
+                                                -lab[0], -lab[1]))
+            pi, pj = cfg.pupils[i], cfg.pupils[j]
+            assert acs.centers[k, 0] == pytest.approx(pi.center.x - pj.center.x, abs=1e-12)
+            assert acs.radii[k] == pytest.approx(pi.radius + pj.radius, abs=1e-12)
+            reps.append((i, j))
+        assert reps == sorted(reps)
+        # exactly one origin-centered disk survives, at twice the max radius,
+        # and it holds every diagonal label
+        at_origin = np.flatnonzero(np.hypot(acs.centers[:, 0], acs.centers[:, 1]) <= 1e-12)
+        assert at_origin.tolist() == [acs.pair_disk[0, 0]]
+        assert (np.diag(acs.pair_disk) == acs.pair_disk[0, 0]).all()
+        assert acs.radii[acs.pair_disk[0, 0]] == pytest.approx(2.0 * max(cfg.radii), abs=1e-12)
+
+
+def _brute_force_acs(cfg):
+    """The merge rule spelled out: the n^2 labels in row-major order, each
+    joining the group of the first root within MERGE_TOL in both
+    coordinates, else starting one; a group's representative is its largest
+    radius, ties to the smallest label, and disks follow their
+    representatives.  Returns centers, radii and the pair-to-disk index."""
+    entries = [(i, j, p.center.x - q.center.x, p.center.y - q.center.y, p.radius + q.radius)
+               for i, p in enumerate(cfg.pupils) for j, q in enumerate(cfg.pupils)]
+    groups = []
+    for e in entries:
+        for g in groups:
+            if abs(g[0][2] - e[2]) <= MERGE_TOL and abs(g[0][3] - e[3]) <= MERGE_TOL:
+                g.append(e)
+                break
+        else:
+            groups.append([e])
+    reps = [max(g, key=lambda e: (e[4], -e[0], -e[1])) for g in groups]
+    order = sorted(range(len(groups)), key=lambda g: reps[g][:2])
+    pair_disk = [[0] * cfg.n for _ in range(cfg.n)]
+    for k, g in enumerate(order):
+        for e in groups[g]:
+            pair_disk[e[0]][e[1]] = k
+    return ([[reps[g][2], reps[g][3]] for g in order], [reps[g][4] for g in order], pair_disk)
+
+
+_DUPLICATES = [
+    # identical pupils, one pupil repeated with another radius, and centers
+    # that agree only to rounding (0.1 + 0.2 against 0.3)
+    PupilConfig([Pupil(Point(0.1, 0.2), 0.2), Pupil(Point(0.1, 0.2), 0.2),
+                 Pupil(Point(-0.3, 0.1), 0.15)], 1.0),
+    PupilConfig([Pupil(Point(0.1, 0.2), 0.2), Pupil(Point(0.1, 0.2), 0.1),
+                 Pupil(Point(-0.3, 0.1), 0.15), Pupil(Point(0.1, 0.2), 0.2)], 1.0),
+    PupilConfig([Pupil(Point(0.1 + 0.2, 0.0), 0.1), Pupil(Point(0.3, 0.0), 0.2),
+                 Pupil(Point(0.0, 0.0), 0.1), Pupil(Point(0.6, 0.0), 0.05)], 1.0),
+]
+
+
+@pytest.mark.parametrize("cfg", [
+    *_DUPLICATES,
+    *(g4_lattice(kind, factor * rho, radius)
+      for kind, rho, radius in (("square", math.sqrt(2.0) / 4.0, 2.5),
+                                ("triangular", 1.0 / (2.0 * math.sqrt(3.0)), 2.3))
+      for factor in (0.9, 1.0, 1.1)),
+    prime_design(4.0, 1.0 / math.sqrt(2.0)).config,
+], ids=[*(f"duplicates{k}" for k in range(len(_DUPLICATES))),
+        *(f"g4 {kind} {factor}" for kind in ("square", "triangular") for factor in (0.9, 1.0, 1.1)),
+        "prime p=2"])
+def test_build_acs_matches_brute_force_grouping(cfg):
+    centers, radii, pair_disk = _brute_force_acs(cfg)
+    acs = build_acs(cfg)
+    assert acs.centers.tolist() == centers
+    assert acs.radii.tolist() == radii
+    assert acs.pair_disk.tolist() == pair_disk
+
+
+@pytest.mark.parametrize("pupils", [
+    [Pupil(Point(-1e308, 0.0), 0.1), Pupil(Point(1e308, 0.0), 0.1)],
+    [Pupil(Point(0.0, -1e308), 0.1), Pupil(Point(0.0, 1e308), 0.1)],
+    [Pupil(Point(0.0, 0.0), 1e308), Pupil(Point(1.0, 0.0), 0.1)],
+], ids=["x spread", "y spread", "radius"])
+def test_config_rejects_overflowing_difference_disks(pupils):
+    with pytest.raises(ValueError, match="overflow"):
+        PupilConfig(pupils, 1.0)
+
+
+def test_build_acs_far_apart_pupils():
+    """Centers whose difference overflows the hash bins' integer range still
+    merge exactly."""
+    cfg = PupilConfig([Pupil(Point(0.0, 0.0), 0.1), Pupil(Point(1e300, -1e300), 0.2),
+                       Pupil(Point(0.0, 0.0), 0.3)], 1.0)
+    acs = build_acs(cfg)
+    assert acs.centers.tolist() == _brute_force_acs(cfg)[0]
+    assert acs.pair_disk.tolist() == _brute_force_acs(cfg)[2]
 
 
 def test_dedup_preserves_union(rng):
@@ -141,7 +231,7 @@ def test_delta_is_1_lipschitz(rng):
     for _ in range(200):
         a = Point(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
         b = Point(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        for d in acs.disks:
+        for d in acs_disks(acs):
             assert abs(delta(d, a) - delta(d, b)) <= a.distance_to(b) + 1e-12
 
 

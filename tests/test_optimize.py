@@ -23,9 +23,10 @@ from pupilcover import (
     solve_lp,
     solve_qp,
 )
+from pupilcover.coverage import DIAMETRAL, build_analysis
 from pupilcover.geom import TOL
-from pupilcover.optimize import _entry, _solve_relocation
-from tests.conftest import count_calls, near_collinear_start, random_config
+from pupilcover.optimize import _entry, _relocation_rows, _solve_relocation
+from tests.conftest import count_calls, g4_lattice, near_collinear_start, random_config
 
 
 def _row_arrays(rows):
@@ -140,6 +141,44 @@ def test_move_zero_residual_rows_fix_centers():
             assert old.distance_to(new) <= 1e-9
 
 
+def _labels_walk_rows(an):
+    """The relocation rows as the per-disk label walk built them: each disk
+    in order, its representative label (largest radius, ties to the smallest
+    (i, j)) and then its other labels in (i, j) order, keeping i != j with
+    r_i + r_j >= the disk radius - 1e-12; each kept label takes every
+    witness-table row of its disk, in table order."""
+    n, r = an.cfg.n, an.cfg.radii
+    rows = []
+    for k in range(an.acs.size):
+        labels = [(i, j) for i in range(n) for j in range(n) if an.acs.pair_disk[i, j] == k]
+        rep = max(labels, key=lambda lab: (r[lab[0]] + r[lab[1]], -lab[0], -lab[1]))
+        witnesses = an.xy[(an.owner == k) & (an.kind != DIAMETRAL)].tolist()
+        for i, j in [rep] + [lab for lab in labels if lab != rep]:
+            if i != j and r[i] + r[j] >= an.acs.radii[k] - 1e-12:
+                rows += [(i, j, x, y) for x, y in witnesses]
+    return rows
+
+
+@pytest.mark.parametrize("cfg", [
+    *(g4_lattice(kind, factor * rho, radius)
+      for kind, rho, radius in (("square", math.sqrt(2.0) / 4.0, 2.5),
+                                ("triangular", 1.0 / (2.0 * math.sqrt(3.0)), 2.3))
+      for factor in (0.9, 1.0, 1.1)),
+    *(near_collinear_start(seed) for seed in range(10)),
+    # equal pupils at x = 1, 0, 2: the disk at x = 1 holds (0, 1) and (2, 0),
+    # whose row-major and column-major orders differ
+    PupilConfig([Pupil(Point(1.0, 0.0), 0.3), Pupil(Point(0.0, 0.0), 0.3),
+                 Pupil(Point(2.0, 0.0), 0.3)], 1.0),
+])
+def test_relocation_rows_match_label_walk(cfg):
+    """The selection from the pair-to-disk index gives the rows, and their
+    order, of the walk over each disk's labels."""
+    an = build_analysis(cfg)
+    i, j, targets = _relocation_rows(an)
+    got = [(a, b, x, y) for a, b, (x, y) in zip(i.tolist(), j.tolist(), targets.tolist())]
+    assert got and got == _labels_walk_rows(an)
+
+
 def test_move_decreases_leastsquares_objective():
     rng = np.random.default_rng(11)
     pupils = [
@@ -186,6 +225,10 @@ def test_exhaustive_single_pupil_grid_hits():
     assert cfg.radii == (pytest.approx(0.5),)
     cfg = exhaustive_search([Point(0, 0)], 1.0, OptimizerConfig(theta=0.15))
     assert cfg.radii == (pytest.approx(0.6),)  # first multiple of 0.15 at or past 0.5
+    # a step of at least R/2: its first multiple covers by itself
+    for theta in (0.6, 1e9, 1e300):
+        cfg = exhaustive_search([Point(0, 0), Point(1, 0)], 1.0, OptimizerConfig(theta=theta))
+        assert cfg.radii == (0.0, theta)
 
 
 def test_exhaustive_three_pupils_near_lower_bound(rng):
