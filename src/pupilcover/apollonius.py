@@ -12,17 +12,21 @@ objective keeps a disk only if, at some cell center, it is within twice the
 cell half-diagonal (plus the ownership slack) of the minimum there.
 Additive distance is 1-Lipschitz, so the mask changes no witness.  The
 triple stage enumerates the triples of masked disks whose three pairs have a
-bisector and solves them in chunks: the closed-form equal-distance line and
-quadratic, a masked Newton polish, then a running global-minimum test over
-the masked disks.  The rim stage is exact: a coarse angle grid drops, by the
-same Lipschitz bound, the pairs whose disks never both come near the minimum
-at one sample, and every other pair's crossings are the unit roots of one
-quartic (a quadratic for equal radii), solved in closed form for all pairs
-at once and Newton-polished.  The triple chunks and the point-by-disk tests
-(containment, mask, ownership) each hold a bounded number of floats.  The
-one m x m array left is ``pair_ok`` over the m masked disks (with the
-distances it is made from), and the rim stage holds arrays over its pairs,
-so memory grows as m^2 and the work as m^3 in the masked disk count.
+bisector, as index columns, and runs each chunk of them through a pipeline:
+closed-form seeds from the equal-distance line and quadratic (``_seeds``),
+whose temporaries are freed before a Newton polish that gathers the disks of
+its still-moving candidates by index at every step (``_polish``), then a
+running global-minimum test over the masked disks.  Every stage is
+elementwise per triple or per candidate and keeps the candidate order, so
+the chunk size changes no bit of the table.  The rim stage is exact: a
+coarse angle grid drops, by the same Lipschitz bound, the pairs whose disks
+never both come near the minimum at one sample, and every other pair's
+crossings are the unit roots of one quartic (a quadratic for equal radii),
+solved in closed form for all pairs at once and Newton-polished.  The triple
+chunks and the point-by-disk tests (containment, mask, ownership) each hold
+a bounded number of floats.  The one m x m array left is ``pair_ok`` over
+the m masked disks, and the rim stage holds arrays over its pairs, so memory
+grows as m^2 and the work as m^3 in the masked disk count.
 ``vertex_sets`` is a per-disk view of the table.  The scalar
 ``tri_disk_vertices`` and ``is_global_vertex`` are the reference the batched
 path is tested against.
@@ -45,10 +49,13 @@ INTERIOR_VERTEX, BOUNDARY_CROSSING = 0, 1
 _KIND_NAMES: tuple[WitnessKind, ...] = ("interior_vertex", "boundary_crossing")
 
 # Chunk sizes of the batched witness construction, in triples and in
-# point-by-disk (or disk-by-disk) cells: a triple chunk's temporaries hold
-# one float per candidate (at most two per triple), the others one float per
-# cell, so each of these stays under 32 KB.
-_TRIPLE_CHUNK = 256
+# point-by-disk (or disk-by-disk) cells.  The cells hold one float each, so
+# a cell chunk's arrays stay under 32 KB.  A triple chunk's arrays hold a few
+# floats per candidate (at most two per triple); at 512 triples the traced
+# peak of a whole analysis is about 350 KB on an n = 9 design (430 KB at 256
+# before the seeds and the polish were split), and each numpy call of the
+# seeds and of a Newton step serves twice the triples it did at 256.
+_TRIPLE_CHUNK = 512
 _OWNER_CELLS = 4096
 
 # Stopping rules of the Newton polish of the vertices.
@@ -323,92 +330,70 @@ def _triples(ok: np.ndarray):
             continue
         parts.append(np.stack([np.full(jj.size, i), nb[jj], nb[kk]]))
         held += jj.size
-        while held >= _TRIPLE_CHUNK:
-            block = np.concatenate(parts, axis=1)
-            yield block[:, :_TRIPLE_CHUNK]
-            parts = [block[:, _TRIPLE_CHUNK:]]
-            held -= _TRIPLE_CHUNK
+        if held < _TRIPLE_CHUNK:
+            continue
+        block = np.concatenate(parts, axis=1)
+        end = held - held % _TRIPLE_CHUNK
+        parts, held = [block[:, end:].copy()], held - end
+        for s in range(0, end, _TRIPLE_CHUNK):
+            yield block[:, s:s + _TRIPLE_CHUNK]
     if held:
         yield np.concatenate(parts, axis=1)
 
 
-def _polish(x, y, r, cx, cy, rho):
-    """Vectorized ``_polish_vertex``: Newton on |x - c_k| - rho_k - r = 0 for
-    the three disks of each candidate (``cx``, ``cy``, ``rho`` have shape
-    (3, candidates)).  Each step solves the 3x3 Jacobian system in closed
-    form, reduced to 2x2 by subtracting the first row.  Returns the polished
-    x, y, r and the mask of candidates that converged."""
-    x, y, r = x.copy(), y.copy(), r.copy()
-    ok = np.ones(x.size, dtype=bool)
-    live = np.arange(x.size)
-    for _ in range(_NEWTON_STEPS):
-        if live.size == 0:
-            break
-        xl, yl, rl = x[live], y[live], r[live]
-        ddx, ddy = xl - cx[:, live], yl - cy[:, live]
-        ds = np.hypot(ddx, ddy)
-        f = ds - rho[:, live] - rl
-        hit = ds.min(axis=0) <= 1e-12
-        done = ~hit & (np.abs(f).max(axis=0) <= 1e-13)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ux, uy = ddx / ds, ddy / ds
-            du, dv, g = ux[1:] - ux[0], uy[1:] - uy[0], f[1:] - f[0]
-            det = du[0] * dv[1] - dv[0] * du[1]
-            flat = ~hit & ~done & ~(np.abs(det) > 1e-14)
-            sx = (g[0] * dv[1] - dv[0] * g[1]) / det
-            sy = (du[0] * g[1] - g[0] * du[1]) / det
-            nx, ny, nr = xl - sx, yl - sy, rl - (ux[0] * sx + uy[0] * sy - f[0])
-        move = ~hit & ~done & ~flat
-        blown = move & ~(np.isfinite(nx) & np.isfinite(ny) & np.isfinite(nr))
-        ok[live[hit | flat | blown]] = False
-        step = move & ~blown
-        moved = live[step]
-        x[moved], y[moved], r[moved] = nx[step], ny[step], nr[step]
-        live = live[move]
-    res = np.abs(np.hypot(x - cx, y - cy) - rho - r).max(axis=0)
-    return x, y, r, ok & (res <= _FINAL_RESIDUAL)
-
-
-def _solve_triples(cx, cy, rho):
-    """Batched ``tri_disk_vertices`` over one chunk of triples, given center
-    and radius arrays of shape (3, triples).  Returns x, y and r of every
-    polished solution in triple order, duplicates within a triple removed."""
-    g = cx ** 2 + cy ** 2 - rho ** 2
-    a1 = (2.0 * (cx[1] - cx[0]), 2.0 * (cy[1] - cy[0]), 2.0 * (rho[1] - rho[0]))
-    a2 = (2.0 * (cx[2] - cx[0]), 2.0 * (cy[2] - cy[0]), 2.0 * (rho[2] - rho[0]))
-    b1, b2 = g[1] - g[0], g[2] - g[0]
-    nx = a1[1] * a2[2] - a1[2] * a2[1]
-    ny = a1[2] * a2[0] - a1[0] * a2[2]
-    nz = a1[0] * a2[1] - a1[1] * a2[0]
-    norm1 = np.sqrt(a1[0] ** 2 + a1[1] ** 2 + a1[2] ** 2)
-    norm2 = np.sqrt(a2[0] ** 2 + a2[1] ** 2 + a2[2] ** 2)
-    regular = np.sqrt(nx * nx + ny * ny + nz * nz) > 1e-10 * norm1 * norm2
+def _null_lines(c):
+    """The solution lines p0 + lam n of the two linear equations that the
+    pairwise differences of the squared equal-distance equations leave, for
+    the triples of disks ``c`` (3, 3, triples): x, y and radius rows by triple
+    member.  Returns p0 and n, (3, triples) rows x, y, r, and the mask of
+    triples whose system has full rank."""
+    g = c[0] ** 2 + c[1] ** 2 - c[2] ** 2
+    a = 2.0 * (c[:, 1:] - c[:, :1])
+    b1, b2 = g[1:] - g[0]
+    a1, a2 = a[:, 0], a[:, 1]
+    # Null direction: the cross product of the two rows.
+    n = a1[[1, 2, 0]] * a2[[2, 0, 1]] - a1[[2, 0, 1]] * a2[[1, 2, 0]]
+    sq, nn = a ** 2, n * n
+    norm = np.sqrt(sq[0] + sq[1] + sq[2])
+    regular = np.sqrt(nn[0] + nn[1] + nn[2]) > 1e-10 * norm[0] * norm[1]
 
     # Particular solution, pinning the unknown of the largest null component.
-    ax, ay, az = np.abs(nx), np.abs(ny), np.abs(nz)
-    pin_z = (az >= ax) & (az >= ay)
-    pin_y = ~pin_z & (ay >= ax)
-    den = np.where(regular, np.where(pin_z, nz, np.where(pin_y, -ny, nx)), 1.0)
-    u_bz = (b1 * a2[2] - b2 * a1[2]) / den
-    u_xb = (a1[0] * b2 - a2[0] * b1) / den
-    p0x = np.where(pin_z, (b1 * a2[1] - b2 * a1[1]) / den, np.where(pin_y, u_bz, 0.0))
-    p0y = np.where(pin_z, u_xb, np.where(pin_y, 0.0, u_bz))
-    p0z = np.where(pin_z, 0.0, np.where(pin_y, u_xb, (a1[1] * b2 - a2[1] * b1) / den))
+    an = np.abs(n)
+    pin_z = (an[2] >= an[0]) & (an[2] >= an[1])
+    pin_y = ~pin_z & (an[1] >= an[0])
+    den = np.where(regular, np.where(pin_z, n[2], np.where(pin_y, -n[1], n[0])), 1.0)
+    # (b1 a2 - b2 a1) / den for y and r, (a1 b2 - a2 b1) / den for x and y.
+    w = (b1 * a2[1:] - b2 * a1[1:]) / den
+    v = (a1[:2] * b2 - a2[:2] * b1) / den
+    p0 = np.stack([np.where(pin_z, w[0], np.where(pin_y, w[1], 0.0)),
+                   np.where(pin_z, v[0], np.where(pin_y, 0.0, w[1])),
+                   np.where(pin_z, 0.0, np.where(pin_y, v[0], v[1]))])
+    return p0, n, regular
 
-    # Substitute the line p0 + lam*n into |p - c1|^2 = (rho1 + r)^2.
-    dx, dy = p0x - cx[0], p0y - cy[0]
-    rr = rho[0] + p0z
-    qa = nx * nx + ny * ny - nz * nz
-    qb = 2.0 * (dx * nx + dy * ny - rr * nz)
-    qc = dx * dx + dy * dy - rr * rr
+
+def _seeds(idx, disks):
+    """Closed-form equal-distance candidates of the triples ``idx`` (3,
+    triples) of ``disks`` (3, m: x, y and radius rows), as in
+    ``tri_disk_vertices``.  Returns the candidates' slots, 2 * triple for the
+    single root or the smaller-lam root and 2 * triple + 1 for the larger-lam
+    root, in increasing order, and their (x, y, r) seeds, a (3, candidates)
+    array."""
+    c0 = disks[:, idx[0]]
+    p0, n, regular = _null_lines(disks[:, idx])
+
+    # Substitute the line p0 + lam*n into |p - c1|^2 = (rho1 + r)^2, with
+    # e = (p0x - cx1, p0y - cy1, rho1 + p0z).
+    e = p0 + c0 * np.array([[-1.0], [-1.0], [1.0]])
+    nn, en, ee = n * n, e * n, e * e
+    qa = nn[0] + nn[1] - nn[2]
+    qb = 2.0 * (en[0] + en[1] - en[2])
+    qc = ee[0] + ee[1] - ee[2]
     scale = np.abs(qb) + np.abs(qc) + 1.0
     linear = np.abs(qa) <= 1e-14 * scale
     disc = qb * qb - 4.0 * qa * qc
     one = np.flatnonzero(regular & linear & (np.abs(qb) > 1e-14 * scale))
     two = np.flatnonzero(regular & ~linear & (disc >= -1e-12 * scale * scale))
 
-    # Candidates in triple order, two slots per triple: the single root or
-    # the smaller-lam root in slot 0, the larger-lam root in slot 1.
     lam = np.zeros((qa.size, 2))
     has = np.zeros((qa.size, 2), dtype=bool)
     sq = np.sqrt(np.maximum(disc[two], 0.0))
@@ -416,18 +401,91 @@ def _solve_triples(cx, cy, rho):
     lam[two, 0] = (-qb[two] - sq) / (2.0 * qa[two])
     lam[two, 1] = (-qb[two] + sq) / (2.0 * qa[two])
     has[one, 0] = has[two, 0] = has[two, 1] = True
-    cand = np.flatnonzero(has)
-    tri, lam = cand // 2, lam.ravel()[cand]
-    x, y, r, keep = _polish(p0x[tri] + lam * nx[tri], p0y[tri] + lam * ny[tri],
-                            p0z[tri] + lam * nz[tri], cx[:, tri], cy[:, tri], rho[:, tri])
+    slot = np.flatnonzero(has)
+    tri, lam = slot // 2, lam.ravel()[slot]
+    return slot, p0[:, tri] + lam * n[:, tri]
+
+
+def _newton_step(p, k, disks):
+    """One step of ``_polish`` on the candidates ``p`` (3, candidates) with
+    disk indices ``k``.  Returns the stepped candidates, the mask of those
+    that had converged off the centers, and the mask of those that keep
+    moving: not converged, on no center, with a regular Jacobian and a
+    finite step."""
+    # The masks are rows of one array of eight rows, the size of one float
+    # per candidate: numpy keeps a few freed blocks of each size under 1 KB
+    # for reuse, and masks of their own would hold one for every count.
+    masks = np.empty((8, p.shape[1]), dtype=bool)
+    hit, conv, done, go, ok, finite = masks[0], masks[1], masks[2], masks[3], masks[4], masks[5:]
+    d = disks[:2, k]
+    np.subtract(p[:2, None], d, out=d)
+    ds = np.hypot(d[0], d[1])
+    np.less_equal(ds.min(axis=0), 1e-12, out=hit)
+    u = np.divide(d, ds, out=d)
+    f = np.subtract(ds, disks[2, k], out=ds)
+    f -= p[2]
+    np.less_equal(np.abs(f).max(axis=0), 1e-13, out=conv)
+    # In place below the first rows: du = u[:, 1:] - u[:, 0], g = f[1:] - f[0].
+    u[:, 1:] -= u[:, :1]
+    f[1:] -= f[0]
+    du, g = u[:, 1:], f[1:]
+    det = du[0, 0] * du[1, 1] - du[1, 0] * du[0, 1]
+    # The step (sx, sy, ux0 sx + uy0 sy - f0), by Cramer's rule.
+    step = np.empty_like(p)
+    np.subtract(g[0] * du[1, 1], du[1, 0] * g[1], out=step[0])
+    np.subtract(du[0, 0] * g[1], g[0] * du[0, 1], out=step[1])
+    step[:2] /= det
+    t = u[:, 0] * step[:2]
+    np.subtract(t[0] + t[1], f[0], out=step[2])
+    p = np.subtract(p, step, out=step)
+    np.logical_not(hit, out=done)
+    done &= conv
+    # Keep moving: a regular Jacobian, a finite step, on no center and not
+    # converged.
+    np.greater(np.abs(det), 1e-14, out=go)
+    go &= np.all(np.isfinite(p, out=finite), axis=0, out=ok)
+    go &= np.logical_not(np.logical_or(hit, conv, out=ok), out=ok)
+    return p, done, go
+
+
+def _polish(xyr, k, disks):
+    """Vectorized ``_polish_vertex``: Newton on |x - c_k| - rho_k - r = 0 for
+    the candidates (x, y, r), the columns of ``xyr``, each with the three
+    disks of its column of ``k`` (indices into ``disks``, rows x, y and
+    radius).  A step gathers the disks of the moving candidates only and
+    solves the 3x3 Jacobian system in closed form, reduced to 2x2 by
+    subtracting the first row.  Writes the polished values into ``xyr`` and
+    returns the mask of candidates that converged."""
+    keep = np.zeros(xyr.shape[1], dtype=bool)
+    live = np.arange(xyr.shape[1])
+    p = xyr
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            p, done, go = _newton_step(p, k, disks)
+            keep[live[done]] = True
+            p, k, live = p[:, go], k[:, go], live[go]
+            if live.size == 0:
+                return keep
+            xyr[:, live] = p
+    d = p[:2, None] - disks[:2, k]
+    res = np.abs(np.hypot(d[0], d[1]) - disks[2, k] - p[2]).max(axis=0)
+    keep[live[res <= _FINAL_RESIDUAL]] = True
+    return keep
+
+
+def _solve_triples(idx, disks):
+    """Batched ``tri_disk_vertices`` over one chunk of triples ``idx`` (3,
+    triples) of ``disks`` (3, m: x, y and radius rows).  Returns the (x, y,
+    r) of every polished solution, a (3, solutions) array in triple order,
+    duplicates within a triple removed."""
+    slot, xyr = _seeds(idx, disks)
+    keep = _polish(xyr, idx[:, slot // 2], disks)
 
     # A second root that polishes onto the first is the same solution.
-    second = np.flatnonzero(cand % 2 == 1)
+    second = np.flatnonzero(slot % 2)
     first = second - 1
-    keep[second] &= ~(keep[first] & (np.abs(x[second] - x[first]) <= 1e-9)
-                      & (np.abs(y[second] - y[first]) <= 1e-9)
-                      & (np.abs(r[second] - r[first]) <= 1e-9))
-    return x[keep], y[keep], r[keep]
+    keep[second] &= ~(keep[first] & (np.abs(xyr[:, second] - xyr[:, first]).max(axis=0) <= 1e-9))
+    return xyr[:, keep]
 
 
 def _interior_vertices(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ok: np.ndarray,
@@ -435,17 +493,25 @@ def _interior_vertices(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ok: np.n
     """Equal-distance vertices of every ``ok`` triple that lie within
     radius + tol of the origin and where no disk is closer than their common
     distance (tolerance-inclusive), in triple order."""
-    found = [(np.empty(0), np.empty(0))]
+    m = cx.size
+    disks = np.stack([cx, cy, rho])
+    found = [np.empty((2, 0))]
     for idx in _triples(ok):
-        x, y, r = _solve_triples(cx[idx], cy[idx], rho[idx])
+        sol = _solve_triples(idx, disks)
+        x, y, r = sol
         keep = np.flatnonzero(np.hypot(x, y) <= radius + tol)
-        # Running global-minimum test, one disk at a time.
-        for d in range(cx.size):
-            if keep.size == 0:
+        # Running global-minimum test, one disk at a time, until the
+        # candidates left times the disks left fit one block of cells.
+        for d in range(m):
+            if keep.size * (m - d) <= _OWNER_CELLS:
+                if keep.size:
+                    near = np.hypot(x[keep, None] - cx[d:], y[keep, None] - cy[d:]) - rho[d:]
+                    keep = keep[(near >= (r[keep] - tol)[:, None]).all(axis=1)]
                 break
             keep = keep[np.hypot(x[keep] - cx[d], y[keep] - cy[d]) - rho[d] >= r[keep] - tol]
-        found.append((x[keep], y[keep]))
-    return tuple(np.concatenate(col) for col in zip(*found))
+        found.append(sol[:2, keep])
+    vx, vy = np.concatenate(found, axis=1)
+    return vx, vy
 
 
 def _quartic_roots(b, c, d, e) -> np.ndarray:
@@ -656,6 +722,7 @@ def _witness_table(acs: Acs, radius: float, tol: float) -> tuple[np.ndarray, np.
     # nonempty, so additively dominated pairs prune their triples.
     dist = np.hypot(cx[:, None] - cx[None, :], cy[:, None] - cy[None, :])
     pair_ok = (dist > np.abs(rho[:, None] - rho[None, :])) & (dist > tol)
+    del dist
 
     vx, vy = _interior_vertices(cx, cy, rho, pair_ok, radius, tol)
     vpt, vdk = _owner_pairs(vx, vy, cx, cy, rho, tol)

@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import reprlib
 import sys
 import time
 
@@ -56,7 +57,7 @@ def parse_config(raw: bytes) -> tuple[PupilConfig, dict]:
     allowed = {"objective_radius", "pupils", "options", "objective_center"}
     unknown = set(doc) - allowed
     if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level keys: {reprlib.repr(sorted(unknown))}")
     if "objective_center" in doc:
         oc = doc["objective_center"]
         if oc != [0, 0] and oc != [0.0, 0.0]:
@@ -73,7 +74,8 @@ def parse_config(raw: bytes) -> tuple[PupilConfig, dict]:
             raise ConfigError(f"config.pupils[{idx}] must be an object")
         unknown = set(p) - {"x", "y", "r"}
         if unknown:
-            raise ConfigError(f"config.pupils[{idx}] has unknown keys: {sorted(unknown)}")
+            raise ConfigError(
+                f"config.pupils[{idx}] has unknown keys: {reprlib.repr(sorted(unknown))}")
         x = _require_number(p, "x", f"config.pupils[{idx}]")
         y = _require_number(p, "y", f"config.pupils[{idx}]")
         r = _require_number(p, "r", f"config.pupils[{idx}]")
@@ -85,7 +87,7 @@ def parse_config(raw: bytes) -> tuple[PupilConfig, dict]:
         raise ConfigError("config.options must be an object")
     unknown = set(options) - set(_OPTION_FIELDS)
     if unknown:
-        raise ConfigError(f"config.options has unknown keys: {sorted(unknown)}")
+        raise ConfigError(f"config.options has unknown keys: {reprlib.repr(sorted(unknown))}")
     _optimizer_config(options)
     try:
         cfg = PupilConfig(pupils, radius)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -43,6 +44,12 @@ class SearchSpaceTooLarge(Exception):
     """The radius grid has too many points to enumerate."""
 
 
+#: Largest accepted ``min_radius`` and ``max_radius``.  The radius programs
+#: add two radii per row, bound phase 1 by 1e4 times the largest bound, and
+#: the traces report pi r^2: all stay finite far beyond it.
+_RADIUS_LIMIT = 1e150
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     epsilon: float = 1e-7           # radius-sum improvement below this stops the loop
@@ -62,13 +69,16 @@ class OptimizerConfig:
             # False for NaN, infinities and integers too large for a float.
             finite = isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max
             if isinstance(v, bool) or not finite:
-                raise ValueError(f"{name} must be a finite real number, got {v!r}")
+                raise ValueError(f"{name} must be a finite real number, got {reprlib.repr(v)}")
+            if name.endswith("_radius") and not v <= _RADIUS_LIMIT:
+                raise ValueError(f"{name} must be at most {_RADIUS_LIMIT:g}, got {v:.6g}")
         for name, least in (("max_iterations", 1), ("relocation_iterations", 0)):
             v = getattr(self, name)
             if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+                raise ValueError(f"{name} must be an integer >= {least}, got {reprlib.repr(v)}")
         if not isinstance(self.forbid_overlap, bool):
-            raise ValueError(f"forbid_overlap must be a bool, got {self.forbid_overlap!r}")
+            shown = reprlib.repr(self.forbid_overlap)
+            raise ValueError(f"forbid_overlap must be a bool, got {shown}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not self.theta > 0:
@@ -78,7 +88,7 @@ class OptimizerConfig:
         if self.max_radius is not None and not self.max_radius >= self.min_radius:
             raise ValueError("max_radius below min_radius")
         if self.gauge not in ("fix_centroid", "fix_first_center"):
-            raise ValueError(f"unknown gauge {self.gauge!r}")
+            raise ValueError(f"unknown gauge {reprlib.repr(self.gauge)}")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -33,6 +34,7 @@ from pupilcover import (
 from pupilcover.apollonius import (BOUNDARY_CROSSING, INTERIOR_VERTEX, _first_copies, _live_disks,
                                    _witness_table)
 from tests.conftest import acs_disks, acs_of_disks, g4_lattice, near_collinear_start
+from tests.test_coverage import _G4_LATTICES
 
 
 def _random_disk_pair(rng, distinct_radii=True):
@@ -692,3 +694,89 @@ def test_cell_mask_keeps_few_disks_on_prime_design():
     assert acs.size == 289
     live = _live_disks(acs.centers, acs.radii, cfg.objective_radius, TOL)
     assert live.size <= 100
+
+
+def _decide_random_designs():
+    """One round of designs like the decide-random benchmark's: n = 5 to 9
+    pupils, centers uniform in [-1, 1]^2, radii uniform in [0, 0.15], R = 1."""
+    rng = np.random.default_rng(11)
+    return [PupilConfig([Pupil(Point(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0))),
+                               float(rng.uniform(0.0, 0.15))) for _ in range(n)], 1.0)
+            for n in (5, 7, 9, 7, 6, 7, 8, 7)]
+
+
+def _chunk_designs():
+    """(label, config): the decide-random round, the six g = 4 lattices, the
+    ten acceptance-10 starts and the p = 2 prime design."""
+    cases = [(f"random {k} n={cfg.n}", cfg) for k, cfg in enumerate(_decide_random_designs())]
+    cases += [(f"{kind} rho={rho:.4f}", g4_lattice(kind, rho, radius))
+              for kind, rho, radius in _G4_LATTICES]
+    cases += [(f"start {seed}", near_collinear_start(seed)) for seed in range(10)]
+    cases.append(("p = 2", prime_design(4.0, 1.0 / math.sqrt(2.0)).config))
+    return cases
+
+
+_CHUNK_DESIGNS = _chunk_designs()
+
+#: The designs each chunk size runs on.  Sizes 1 and 7 make thousands of
+#: chunks on the larger designs (about 90 s for size 1 on all of them), so
+#: they run on the smaller ones.
+_CHUNK_SUBSETS = {
+    1: {"random 0 n=5"} | {f"start {seed}" for seed in range(10)},
+    7: {"random 0 n=5", "random 4 n=6", "square rho=0.3182"} | {f"start {seed}" for seed in range(10)},
+    256: {label for label, _ in _CHUNK_DESIGNS},
+    1000: {label for label, _ in _CHUNK_DESIGNS},
+}
+
+
+def _table_bits(cfg):
+    return [(a.dtype.str, a.shape, a.tobytes())
+            for a in _witness_table(build_acs(cfg), cfg.objective_radius, TOL)]
+
+
+@pytest.fixture(scope="module")
+def default_chunk_tables():
+    return {label: _table_bits(cfg) for label, cfg in _CHUNK_DESIGNS}
+
+
+@pytest.mark.parametrize("chunk", sorted(_CHUNK_SUBSETS))
+def test_witness_table_does_not_depend_on_chunk_size(chunk, default_chunk_tables, monkeypatch):
+    """Every stage of the triple solve (seeds, polish, second-root check,
+    global-minimum test) is elementwise per triple or per candidate and keeps
+    the candidate order, so the witness table at any triple chunk size is
+    bit-identical, dtypes included, to the one at the default size."""
+    assert pupilcover.apollonius._TRIPLE_CHUNK not in _CHUNK_SUBSETS
+    assert _CHUNK_SUBSETS[chunk] <= default_chunk_tables.keys()
+    monkeypatch.setattr(pupilcover.apollonius, "_TRIPLE_CHUNK", chunk)
+    for label, cfg in _CHUNK_DESIGNS:
+        if label in _CHUNK_SUBSETS[chunk]:
+            assert _table_bits(cfg) == default_chunk_tables[label], label
+
+
+def _peak_kib(cfg) -> float:
+    """Traced peak of one ``build_analysis`` of ``cfg`` above what was
+    allocated before it, in KiB, after one untraced warm-up call."""
+    pupilcover.coverage.build_analysis(cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pupilcover.coverage.build_analysis(cfg)
+        return (tracemalloc.get_traced_memory()[1] - base) / 1024.0
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cfg, measured", [
+    pytest.param(_decide_random_designs()[2], 351, id="random n=9"),
+    pytest.param(g4_lattice("square", 0.9 * math.sqrt(2.0) / 4.0, 2.5), 318, id="square lattice"),
+])
+def test_build_analysis_peak_memory(cfg, measured):
+    """Memory guard: the benchmark's binding bound is its peak RSS, which
+    the triple stage's chunk temporaries drive.  The traced peak of
+    ``build_analysis`` (``measured`` KiB, numpy 2.4, when the triple chunk
+    went to 512) stays under 1.5 times that: a chunk size or a held
+    temporary that raises it by half fails here, as the earlier code at
+    1024-triple chunks would."""
+    if cfg.n == 9:
+        assert not decide(cfg)[0]
+    assert _peak_kib(cfg) <= 1.5 * measured

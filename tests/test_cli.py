@@ -87,6 +87,12 @@ def test_config_round_trip():
         ({"objective_radius": 1.0, "pupils": [{"x": -1e308, "y": 0, "r": 0.1},
                                               {"x": 1e308, "y": 0, "r": 0.1}]}, "overflow"),
         ({"objective_radius": 1.0, "pupils": [{"x": 0, "y": 0, "r": 1e308}]}, "overflow"),
+        *(
+            ({"objective_radius": 1.0, "pupils": [{"x": 0, "y": 0, "r": 0.1}], "options": {key: value}},
+             key)
+            for key, value in [("min_radius", 5e307), ("min_radius", 1e308), ("max_radius", 1e308),
+                               ("min_radius", 1e151)]
+        ),
     ],
 )
 def test_config_validation_errors(payload, fragment):
@@ -216,13 +222,41 @@ def test_option_flags_out_of_range_exit_2(tmp_path, capsys, command, flag, value
     ("decide", {"objective_radius": 1.0, "pupils": [{"x": -1e308, "y": 0, "r": 0.1},
                                                     {"x": 1e308, "y": 0, "r": 0.1}]}, "overflow"),
     ("alpha", {"objective_radius": 1.0, "pupils": [{"x": 0, "y": 0, "r": 1e308}]}, "overflow"),
-], ids=["huge objective", "huge max_radius", "infinite theta", "far pupils", "huge radius"])
+    ("minarea", {**UNCOVERED, "options": {"min_radius": 5e307}}, "min_radius"),
+    ("minsum", {**UNCOVERED, "options": {"min_radius": 1e308}}, "min_radius"),
+], ids=["huge objective", "huge max_radius", "infinite theta", "far pupils", "huge radius",
+        "finite min_radius past the phase-1 box", "finite min_radius past the row sums"])
 def test_unrepresentable_numbers_exit_2(tmp_path, capsys, command, payload, fragment):
-    """Numbers that are no finite float, or designs whose difference disks
-    overflow, are input errors, not tracebacks or verdicts."""
+    """Numbers that are no finite float, designs whose difference disks
+    overflow, and radius options past the limit of the radius programs are
+    input errors, not tracebacks or verdicts."""
     code, out, err = run(capsys, command, write_config(tmp_path, payload))
     assert code == 2 and out == ""
     assert fragment in err and "Traceback" not in err
+
+
+def test_radius_options_up_to_the_limit_solve(tmp_path, capsys):
+    """min_radius at the accepted limit still gives a radius program that
+    solves, with every pupil at the bound."""
+    code, out, _ = run(capsys, "minsum", write_config(
+        tmp_path, {**UNCOVERED, "options": {"min_radius": 1e150}}))
+    assert code == 0
+    assert json.loads(out)["result"]["trace"]["final_config"]["pupils"][0]["r"] == 1e150
+
+
+@pytest.mark.parametrize("command,options", [
+    ("exhaustive", {"theta": 10**400}),
+    ("minsum", {"gauge": "g" * 1000}),
+    ("minsum", {"max_iterations": "9" * 1000}),
+    ("minarea", {"x" * 1000: 1, "y" * 1000: 2}),
+    ("move", {f"k{i}": i for i in range(100)}),
+], ids=["401-digit theta", "long gauge", "long string", "long unknown keys", "many unknown keys"])
+def test_rejected_value_echo_is_short(tmp_path, capsys, command, options):
+    """An error that echoes the rejected value or keys shortens them, so the
+    one-line message stays short."""
+    code, out, err = run(capsys, command, write_config(tmp_path, {**UNCOVERED, "options": options}))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 def test_integer_past_the_digit_limit_exit_2(tmp_path, capsys):
