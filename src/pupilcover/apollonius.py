@@ -200,7 +200,7 @@ def _polish_vertex(x: float, y: float, r: float, cs, rs) -> tuple[float, float, 
     return x, y, r
 
 
-def tri_disk_vertices(d1: Disk, d2: Disk, d3: Disk, *, tol: float = TOL) -> list[tuple[Point, float]]:
+def tri_disk_vertices(d1: Disk, d2: Disk, d3: Disk) -> list[tuple[Point, float]]:
     """All points at equal additive distance r to three disks, with that
     common value (r may be negative when the point lies inside the disks).
 
@@ -212,7 +212,7 @@ def tri_disk_vertices(d1: Disk, d2: Disk, d3: Disk, *, tol: float = TOL) -> list
     cs = [(d.center.x, d.center.y) for d in (d1, d2, d3)]
     rs = [d.radius for d in (d1, d2, d3)]
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        if math.hypot(cs[a][0] - cs[b][0], cs[a][1] - cs[b][1]) <= tol:
+        if math.hypot(cs[a][0] - cs[b][0], cs[a][1] - cs[b][1]) <= TOL:
             raise DegenerateTriple("two of the disks are concentric")
 
     g = [cs[k][0] ** 2 + cs[k][1] ** 2 - rs[k] ** 2 for k in range(3)]
@@ -273,26 +273,26 @@ def tri_disk_vertices(d1: Disk, d2: Disk, d3: Disk, *, tol: float = TOL) -> list
     return out
 
 
-def is_global_vertex(acs: Acs, x: Point, r: float, *, tol: float = TOL) -> bool:
+def is_global_vertex(acs: Acs, x: Point, r: float) -> bool:
     """True when no disk of the ACS is strictly closer to ``x`` than the
     claimed common distance ``r`` (tolerance-inclusive)."""
-    return delta_min(acs, x)[0] >= r - tol
+    return delta_min(acs, x)[0] >= r - TOL
 
 
-def _live_disks(centers: np.ndarray, radii: np.ndarray, radius: float, tol: float) -> np.ndarray:
+def _live_disks(centers: np.ndarray, radii: np.ndarray, radius: float) -> np.ndarray:
     """Indices of the disks that can attain the minimal additive distance
-    (within ``tol``) somewhere within radius + tol of the origin.
+    (within ``TOL``) somewhere within radius + TOL of the origin.
 
     The slack below covers the ownership tolerance and the polish residual,
     so that no witness, owner or value changes.  Disks strictly inside
     another (by the slack) are dropped first; they are never the minimum.
     The rest pass a cell mask: a G x G grid, G = max(16, ceil(2 sqrt(m))),
-    over the square [-(radius + tol), radius + tol]^2 keeps the cells whose
-    centers q lie within radius + tol plus the cell half-diagonal h of the
+    over the square [-(radius + TOL), radius + TOL]^2 keeps the cells whose
+    centers q lie within radius + TOL plus the cell half-diagonal h of the
     origin, and a disk stays if at some kept q it is within 2h + slack of
     the minimum.  Additive distances are 1-Lipschitz, so a disk within the
     slack of the minimum anywhere in a cell passes at the cell's center."""
-    slack = 4.0 * tol + 2.0 * _FINAL_RESIDUAL
+    slack = 4.0 * TOL + 2.0 * _FINAL_RESIDUAL
     m = radii.size
     rows = max(1, _OWNER_CELLS // max(1, m))
     inside = np.zeros(m, dtype=bool)
@@ -302,7 +302,7 @@ def _live_disks(centers: np.ndarray, radii: np.ndarray, radius: float, tol: floa
         inside[s:s + rows] = (dist < radii[None, :] - radii[s:s + rows, None] - slack).any(axis=1)
     cand = np.flatnonzero(~inside)
 
-    reach = radius + tol
+    reach = radius + TOL
     cells = max(16, math.ceil(2.0 * math.sqrt(m)))
     step = 2.0 * reach / cells
     half = step / math.sqrt(2.0)
@@ -489,9 +489,9 @@ def _solve_triples(idx, disks):
 
 
 def _interior_vertices(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ok: np.ndarray,
-                       radius: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+                       radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Equal-distance vertices of every ``ok`` triple that lie within
-    radius + tol of the origin and where no disk is closer than their common
+    radius + TOL of the origin and where no disk is closer than their common
     distance (tolerance-inclusive), in triple order."""
     m = cx.size
     disks = np.stack([cx, cy, rho])
@@ -499,16 +499,16 @@ def _interior_vertices(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ok: np.n
     for idx in _triples(ok):
         sol = _solve_triples(idx, disks)
         x, y, r = sol
-        keep = np.flatnonzero(np.hypot(x, y) <= radius + tol)
+        keep = np.flatnonzero(np.hypot(x, y) <= radius + TOL)
         # Running global-minimum test, one disk at a time, until the
         # candidates left times the disks left fit one block of cells.
         for d in range(m):
             if keep.size * (m - d) <= _OWNER_CELLS:
                 if keep.size:
                     near = np.hypot(x[keep, None] - cx[d:], y[keep, None] - cy[d:]) - rho[d:]
-                    keep = keep[(near >= (r[keep] - tol)[:, None]).all(axis=1)]
+                    keep = keep[(near >= (r[keep] - TOL)[:, None]).all(axis=1)]
                 break
-            keep = keep[np.hypot(x[keep] - cx[d], y[keep] - cy[d]) - rho[d] >= r[keep] - tol]
+            keep = keep[np.hypot(x[keep] - cx[d], y[keep] - cy[d]) - rho[d] >= r[keep] - TOL]
         found.append(sol[:2, keep])
     vx, vy = np.concatenate(found, axis=1)
     return vx, vy
@@ -616,7 +616,7 @@ def _owner_pairs(px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray,
 
 
 def _rim_witnesses(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ia: np.ndarray,
-                   ib: np.ndarray, radius: float, tol: float):
+                   ib: np.ndarray, radius: float):
     """Rim crossings of the pair bisectors (ia[p], ib[p]) at which both disks
     of the pair attain the minimal additive distance over all given disks.
     Returns the points' x and y, in the order of ``_rim_crossings``, and their
@@ -625,12 +625,12 @@ def _rim_witnesses(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ia: np.ndarr
         empty = np.empty(0, dtype=np.intp)
         return np.empty(0), np.empty(0), empty, empty
     # Additive distances are 1-Lipschitz, so two disks that both attain the
-    # minimum at a rim point come within twice the half arc step (plus 2 tol)
+    # minimum at a rim point come within twice the half arc step (plus 2 TOL)
     # of the sampled minimum at the nearest sample; other pairs keep none.
     step = 2.0 * math.pi / _RIM_SAMPLES
     grid = step * np.arange(_RIM_SAMPLES)
     gp, gd = _owner_pairs(radius * np.cos(grid), radius * np.sin(grid), cx, cy, rho,
-                          radius * step + 2.0 * tol)
+                          radius * step + 2.0 * TOL)
     near = np.zeros((cx.size, _RIM_SAMPLES), dtype=bool)
     near[gd, gp] = True
     reach = near.any(axis=1)
@@ -640,7 +640,7 @@ def _rim_witnesses(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ia: np.ndarr
     ia, ib = ia[use], ib[use]
     pair, theta = _rim_crossings(cx, cy, rho, ia, ib, radius)
     px, py = radius * np.cos(theta), radius * np.sin(theta)
-    pt, dk = _owner_pairs(px, py, cx, cy, rho, tol)
+    pt, dk = _owner_pairs(px, py, cx, cy, rho, TOL)
     owns_a = np.zeros(px.size, dtype=bool)
     owns_b = np.zeros(px.size, dtype=bool)
     owns_a[pt[dk == ia[pair[pt]]]] = True
@@ -652,8 +652,7 @@ def _rim_witnesses(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ia: np.ndarr
     return px[keep], py[keep], renum[pt[sel]], dk[sel]
 
 
-def boundary_crossings(acs: Acs, a: int, b: int, radius: float, *,
-                       tol: float = TOL) -> list[Point]:
+def boundary_crossings(acs: Acs, a: int, b: int, radius: float) -> list[Point]:
     """Points of the objective rim (|x| = radius) where disks ``a`` and ``b``
     are at equal additive distance and that distance is the global minimum.
 
@@ -664,7 +663,7 @@ def boundary_crossings(acs: Acs, a: int, b: int, radius: float, *,
         raise ValueError("radius must be positive")
     c = acs.centers
     px, py, _, _ = _rim_witnesses(c[:, 0], c[:, 1], acs.radii, np.array([a]),
-                                  np.array([b]), radius, tol)
+                                  np.array([b]), radius)
     out = [Point(float(x), float(y)) for x, y in zip(px, py)]
     out.sort(key=lambda p: math.atan2(p.y, p.x))
     return out
@@ -702,7 +701,7 @@ def _first_copies(xy: np.ndarray, owner: np.ndarray, gap: float) -> np.ndarray:
     return into
 
 
-def _witness_table(acs: Acs, radius: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _witness_table(acs: Acs, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The witness set of every ACS disk as one table: points ``xy`` (k, 2),
     owning disk ``owner`` (k,) and kind code ``kind`` (k,), one row per
     (witness, owner), ordered by owner, then angle, then norm.
@@ -710,25 +709,25 @@ def _witness_table(acs: Acs, radius: float, tol: float) -> tuple[np.ndarray, np.
     The rows are the equal-distance vertices of disk triples that are global
     minima inside the objective, in triple order, then the rim crossings of
     all pair bisectors, in pair order, each with every disk attaining the
-    minimum there.  A vertex within ``tol`` of the rim is a rim crossing.
+    minimum there.  A vertex within ``TOL`` of the rim is a rim crossing.
     A copy of an earlier row within 1e-8 (``_first_copies``) is dropped, and
     the row it copies becomes a rim crossing if the copy is one."""
     centers = acs.centers
     radii = acs.radii
-    live = _live_disks(centers, radii, radius, tol)
+    live = _live_disks(centers, radii, radius)
     cx, cy, rho = centers[live, 0], centers[live, 1], radii[live]
 
     # A common equal-distance point needs every pairwise bisector to be
     # nonempty, so additively dominated pairs prune their triples.
     dist = np.hypot(cx[:, None] - cx[None, :], cy[:, None] - cy[None, :])
-    pair_ok = (dist > np.abs(rho[:, None] - rho[None, :])) & (dist > tol)
+    pair_ok = (dist > np.abs(rho[:, None] - rho[None, :])) & (dist > TOL)
     del dist
 
-    vx, vy = _interior_vertices(cx, cy, rho, pair_ok, radius, tol)
-    vpt, vdk = _owner_pairs(vx, vy, cx, cy, rho, tol)
-    on_rim = np.abs(np.hypot(vx, vy) - radius) <= tol
+    vx, vy = _interior_vertices(cx, cy, rho, pair_ok, radius)
+    vpt, vdk = _owner_pairs(vx, vy, cx, cy, rho, TOL)
+    on_rim = np.abs(np.hypot(vx, vy) - radius) <= TOL
     ia, ib = np.nonzero(np.triu(pair_ok, 1))
-    px, py, rpt, rdk = _rim_witnesses(cx, cy, rho, ia, ib, radius, tol)
+    px, py, rpt, rdk = _rim_witnesses(cx, cy, rho, ia, ib, radius)
 
     xy = np.column_stack([np.concatenate([vx[vpt], px[rpt]]), np.concatenate([vy[vpt], py[rpt]])])
     owner = live[np.concatenate([vdk, rdk])]
@@ -742,12 +741,12 @@ def _witness_table(acs: Acs, radius: float, tol: float) -> tuple[np.ndarray, np.
     return xy[order], owner[order], kind[order]
 
 
-def vertex_sets(acs: Acs, radius: float, *, tol: float = TOL) -> list[VertexSet]:
+def vertex_sets(acs: Acs, radius: float) -> list[VertexSet]:
     """Witness sets for every ACS disk: its rows of ``_witness_table`` as
     (Point, kind name) pairs, in table order (angle, then norm)."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    xy, owner, kind = _witness_table(acs, radius, tol)
+    xy, owner, kind = _witness_table(acs, radius)
     points = [(Point(x, y), _KIND_NAMES[k]) for (x, y), k in zip(xy.tolist(), kind.tolist())]
     ends = np.searchsorted(owner, np.arange(acs.size + 1)).tolist()
     return [VertexSet(k, tuple(points[ends[k]:ends[k + 1]])) for k in range(acs.size)]

@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import reprlib
 import sys
 import time
@@ -119,10 +120,16 @@ def _options_from(args, base: dict) -> OptimizerConfig:
     return _optimizer_config(merged)
 
 
+def _finite_or_none(v: float) -> float | None:
+    # JSON has no infinity: an overflowing sum or area is written as null.
+    return v if math.isfinite(v) else None
+
+
 def _trace_payload(trace: OptimizerTrace) -> dict:
     return {
         "iterations": [
-            {"sum_of_radii": e.sum_of_radii, "total_area": e.total_area, "covered": e.covered}
+            {"sum_of_radii": _finite_or_none(e.sum_of_radii),
+             "total_area": _finite_or_none(e.total_area), "covered": e.covered}
             for e in trace.iterations
         ],
         "final_config": serialize_config(trace.final_config),
@@ -310,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                        action="store_const", const=True, default=None)
         if relocation:
             p.add_argument("--iterations", dest="relocation_iterations", type=int, default=None)
-            p.add_argument("--gauge", choices=("fix_centroid", "fix_first_center"), default=None)
 
     add_opt_flags(add("minsum", cmd_minsum, "minimize the summed pupil radii, centers fixed"))
     add_opt_flags(add("minarea", cmd_minarea, "minimize the total pupil area, centers fixed"))

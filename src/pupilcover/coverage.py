@@ -100,7 +100,6 @@ class Analysis:
     several disks appears once per owner."""
 
     cfg: PupilConfig
-    tol: float
     acs: Acs
     xy: np.ndarray          # (k, 2) witness points
     owner: np.ndarray       # (k,) owning ACS disk, nondecreasing
@@ -113,7 +112,7 @@ class Analysis:
 
     @property
     def covered(self) -> bool:
-        return self.worst_value <= self.tol
+        return self.worst_value <= TOL
 
     def decision(self) -> tuple[bool, Point | None]:
         """``decide``'s answer: (covered, uncovered witness or None)."""
@@ -141,7 +140,7 @@ def _covers_trivially(cfg: PupilConfig) -> bool:
     return any(2.0 * p.radius >= cfg.objective_radius for p in cfg.pupils)
 
 
-def _diametral_fallbacks(acs: Acs, radius: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _diametral_fallbacks(acs: Acs, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Every disk's rim point farthest from its center, and whether the disk
     attains the global minimum there.  For an origin-centered disk the
     additive distance is constant on the rim, so any owned rim point serves;
@@ -149,24 +148,24 @@ def _diametral_fallbacks(acs: Acs, radius: float, tol: float) -> tuple[np.ndarra
     crossings, which is the only case where the fallback is needed."""
     centers, radii = acs.centers, acs.radii
     norms = np.hypot(centers[:, 0], centers[:, 1])
-    at_origin = norms <= tol
+    at_origin = norms <= TOL
     pts = -radius * centers / np.where(at_origin, 1.0, norms)[:, None]
     pts[at_origin] = (radius, 0.0)
-    pt, dk = _owner_pairs(pts[:, 0], pts[:, 1], centers[:, 0], centers[:, 1], radii, tol)
+    pt, dk = _owner_pairs(pts[:, 0], pts[:, 1], centers[:, 0], centers[:, 1], radii, TOL)
     owned = np.zeros(acs.size, dtype=bool)
     owned[pt[pt == dk]] = True
     return pts, owned
 
 
-def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None, tol: float = TOL) -> Analysis:
+def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None) -> Analysis:
     """The witness analysis of ``cfg``: the witness table of its ACS
     (``acs`` when the caller has built it), each disk's diametral fallback
     unless one of its witnesses lies within 1e-8 of it, and the additive
     distance of every witness to its owner."""
     acs = build_acs(cfg) if acs is None else acs
     radius = cfg.objective_radius
-    xy, owner, kind = _witness_table(acs, radius, tol)
-    fb, owned = _diametral_fallbacks(acs, radius, tol)
+    xy, owner, kind = _witness_table(acs, radius)
+    fb, owned = _diametral_fallbacks(acs, radius)
     owned[owner[(np.abs(xy - fb[owner]) <= 1e-8).all(axis=1)]] = False
     extra = np.flatnonzero(owned)
     order = np.argsort(np.concatenate([owner, extra]), kind="stable")
@@ -183,10 +182,10 @@ def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None, tol: float = TOL
         worst_value, worst_point = float(values[w]), Point(float(xy[w, 0]), float(xy[w, 1]))
     else:
         worst_value, worst_point = -math.inf, None
-    return Analysis(cfg, tol, acs, xy, owner, kind, disk_alpha, worst_value, worst_point)
+    return Analysis(cfg, acs, xy, owner, kind, disk_alpha, worst_value, worst_point)
 
 
-def decide(cfg: PupilConfig, *, tol: float = TOL) -> tuple[bool, Point | None]:
+def decide(cfg: PupilConfig) -> tuple[bool, Point | None]:
     """Is the objective covered by the union of the difference disks?
 
     Returns (covered, witness); the witness is an uncovered point when the
@@ -195,7 +194,7 @@ def decide(cfg: PupilConfig, *, tol: float = TOL) -> tuple[bool, Point | None]:
     the computation."""
     if _covers_trivially(cfg):
         return True, None
-    return build_analysis(cfg, tol=tol).decision()
+    return build_analysis(cfg).decision()
 
 
 def coverage_oracle(cfg: PupilConfig, resolution: int) -> tuple[bool, Point | None]:
@@ -233,15 +232,15 @@ def coverage_oracle(cfg: PupilConfig, resolution: int) -> tuple[bool, Point | No
     return True, None
 
 
-def alpha_star(cfg: PupilConfig, *, tol: float = TOL) -> float:
+def alpha_star(cfg: PupilConfig) -> float:
     """Minimal uniform amount by which every difference-disk radius must grow
     for the objective to be covered (negative values mean slack).  Enlarging
     all disks uniformly leaves the proximity diagram unchanged, so the value
     is the maximal additive distance over the witness set."""
-    return build_analysis(cfg, tol=tol).worst_value
+    return build_analysis(cfg).worst_value
 
 
-def per_disk_alpha(cfg: PupilConfig, *, tol: float = TOL) -> PairValues:
+def per_disk_alpha(cfg: PupilConfig) -> PairValues:
     """Per-pair minimal enlargement of each difference disk so that it keeps
     covering its own witnesses (signed; negative means the disk could shrink).
 
@@ -249,7 +248,7 @@ def per_disk_alpha(cfg: PupilConfig, *, tol: float = TOL) -> PairValues:
     absorbed (i, j) label of a read-only mapping with all n^2 pairs as keys;
     disks whose cells contribute no witness (they miss the objective) map to
     None ("unconstrained") for all their labels."""
-    return build_analysis(cfg, tol=tol).per_pair()
+    return build_analysis(cfg).per_pair()
 
 
 def _circle_intersections(c1: Point, r1: float, c2: Point, r2: float) -> list[Point]:
@@ -274,14 +273,14 @@ def _circle_intersections(c1: Point, r1: float, c2: Point, r2: float) -> list[Po
     return [Point(mx + ox, my - oy), Point(mx - ox, my + oy)]
 
 
-def _exposed(centers: np.ndarray, radii: np.ndarray, pt: Point, tol: float) -> bool:
+def _exposed(centers: np.ndarray, radii: np.ndarray, pt: Point) -> bool:
     """Whether points arbitrarily close to ``pt``, a boundary point covered
-    to within ``tol``, escape every disk through it: the inward normals of
+    to within ``TOL``, escape every disk through it: the inward normals of
     those disks leave a gap of directions of at least pi.  Two circles always
     do; three or more tangent-level disks (a cocircular lattice vertex) can
     close around the point."""
     d = np.hypot(centers[:, 0] - pt.x, centers[:, 1] - pt.y)
-    through = np.flatnonzero((np.abs(d - radii) <= tol) & (radii > tol))
+    through = np.flatnonzero((np.abs(d - radii) <= TOL) & (radii > TOL))
     if through.size < 3:
         return True
     angles = sorted(math.atan2(centers[k, 1] - pt.y, centers[k, 0] - pt.x) for k in through)
@@ -289,7 +288,7 @@ def _exposed(centers: np.ndarray, radii: np.ndarray, pt: Point, tol: float) -> b
     return max(gaps) >= math.pi - 1e-9
 
 
-def max_objective(cfg: PupilConfig, *, tol: float = TOL, acs: Acs | None = None) -> float:
+def max_objective(cfg: PupilConfig, *, acs: Acs | None = None) -> float:
     """Largest objective radius the fixed configuration covers.
 
     If the origin-centered disk is contained in its own cell the answer is
@@ -311,11 +310,11 @@ def max_objective(cfg: PupilConfig, *, tol: float = TOL, acs: Acs | None = None)
         if k == k0:
             continue
         reach = abs(math.hypot(centers[k, 0], centers[k, 1]) - r0) - radii[k]
-        if reach < -tol:
+        if reach < -TOL:
             contained = False
             break
     if contained:
-        if r0 <= tol:
+        if r0 <= TOL:
             raise NoCoverage("the difference disks have empty interior at the origin")
         return r0
 
@@ -323,30 +322,30 @@ def max_objective(cfg: PupilConfig, *, tol: float = TOL, acs: Acs | None = None)
     best = math.inf
     for a in range(acs.size):
         for b in range(a + 1, acs.size):
-            if radii[a] <= tol and radii[b] <= tol:
+            if radii[a] <= TOL and radii[b] <= TOL:
                 continue
             for pt in _circle_intersections(points[a], float(radii[a]),
                                             points[b], float(radii[b])):
                 if pt.norm() >= best:
                     continue
                 dmin, _ = delta_min(acs, pt)
-                if dmin >= -tol and _exposed(centers, radii, pt, tol):
+                if dmin >= -TOL and _exposed(centers, radii, pt):
                     best = pt.norm()
     if not math.isfinite(best):
         # No exposed corner: the union boundary near the origin is the origin
         # disk's own circle, so its radius is the answer.
         best = r0
-    if best <= tol:
+    if best <= TOL:
         raise NoCoverage("no objective of positive radius is covered")
     return best
 
 
-def analyze(cfg: PupilConfig, *, tol: float = TOL) -> CoverageReport:
+def analyze(cfg: PupilConfig) -> CoverageReport:
     """Full coverage report: decision, witness, enlargement quantities and
     the maximal covered objective radius (0.0 when nothing is covered)."""
-    an = build_analysis(cfg, tol=tol)
+    an = build_analysis(cfg)
     try:
-        r_star = max_objective(cfg, tol=tol, acs=an.acs)
+        r_star = max_objective(cfg, acs=an.acs)
     except NoCoverage:
         r_star = 0.0
     return CoverageReport(

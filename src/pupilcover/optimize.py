@@ -59,7 +59,6 @@ class OptimizerConfig:
     max_radius: float | None = None
     forbid_overlap: bool = False
     relocation_iterations: int = 25
-    gauge: str = "fix_centroid"     # or "fix_first_center"
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "theta", "min_radius", "max_radius"):
@@ -87,8 +86,6 @@ class OptimizerConfig:
             raise ValueError("min_radius must be nonnegative")
         if self.max_radius is not None and not self.max_radius >= self.min_radius:
             raise ValueError("max_radius below min_radius")
-        if self.gauge not in ("fix_centroid", "fix_first_center"):
-            raise ValueError(f"unknown gauge {reprlib.repr(self.gauge)}")
 
 
 @dataclass
@@ -237,28 +234,19 @@ def relocation_objective(cfg: PupilConfig, rows: list[tuple[int, int, Point]]) -
     return total
 
 
-def _solve_relocation(cfg: PupilConfig, rows, gauge: str) -> list[Point]:
-    """New centers from the rows (i, j, targets) of ``_relocation_rows``."""
+def _solve_relocation(cfg: PupilConfig, rows) -> list[Point]:
+    """New centers from the rows (i, j, targets) of ``_relocation_rows``,
+    with the centroid pinned: the last center is (sum - others)."""
     i, j, t = rows
     a = np.zeros((i.size, cfg.n))
     r = np.arange(i.size)
     a[r, i] += 1.0
     a[r, j] -= 1.0
-    centers = np.array([[c.x, c.y] for c in cfg.centers])
-    if gauge == "fix_first_center":
-        # Pin center 0; reduce to the remaining columns.
-        reduced = a[:, 1:]
-        rhs = t - np.outer(a[:, 0], centers[0])
-        sol, *_ = np.linalg.lstsq(reduced, rhs, rcond=None)
-        new = np.vstack([centers[0], sol])
-    else:
-        # Pin the centroid: substitute the last center by (sum - others).
-        total = centers.sum(axis=0)
-        reduced = a[:, :-1] - a[:, -1:]
-        rhs = t - np.outer(a[:, -1], total)
-        sol, *_ = np.linalg.lstsq(reduced, rhs, rcond=None)
-        last = total - sol.sum(axis=0)
-        new = np.vstack([sol, last])
+    total = np.array([[c.x, c.y] for c in cfg.centers]).sum(axis=0)
+    reduced = a[:, :-1] - a[:, -1:]
+    rhs = t - np.outer(a[:, -1], total)
+    sol, *_ = np.linalg.lstsq(reduced, rhs, rcond=None)
+    new = np.vstack([sol, total - sol.sum(axis=0)])
     return [Point(float(x), float(y)) for x, y in new]
 
 
@@ -266,8 +254,8 @@ def move_pupils(cfg: PupilConfig, opts: OptimizerConfig | None = None) -> Optimi
     """Relocate the pupils, radii fixed, toward positions whose difference
     disks recapture the current witness points: each pass minimizes the
     summed squared distances between center differences and witnesses (a
-    convex least squares whose row targets are the witnesses), with one gauge
-    constraint because the objective depends only on center differences.
+    convex least squares whose row targets are the witnesses) with the
+    centroid pinned, as the objective depends only on center differences.
 
     Coverage is not guaranteed; the trace records it per pass.  When no pass
     produces an informative row the configuration is returned unchanged with
@@ -282,7 +270,7 @@ def move_pupils(cfg: PupilConfig, opts: OptimizerConfig | None = None) -> Optimi
         if rows[0].size == 0:
             warning = "no off-diagonal witness rows; centers left unchanged"
             break
-        current = current.with_centers(_solve_relocation(current, rows, opts.gauge))
+        current = current.with_centers(_solve_relocation(current, rows))
         an = build_analysis(current)
         entries.append(_entry(current, covered=an.decision()[0]))
     return OptimizerTrace(entries, current, warning)
@@ -313,11 +301,14 @@ def exhaustive_search(centers: list[Point], radius: float,
     if n < 1:
         raise ValueError("need at least one center")
     theta = opts.theta
-    # One pupil of radius cap * theta >= radius / 2 covers by itself.
-    cap = max(1, int(math.ceil(radius / (2.0 * theta) - 1e-9)))
-    if float(cap + 1) ** n > 1e8:
+    # One pupil of radius cap * theta >= radius / 2 covers by itself.  The
+    # guard takes log10 of the (cap + 1)^n grid points, so it cannot overflow.
+    cap = max(1, math.ceil(min(radius / (2.0 * theta) - 1e-9, sys.float_info.max)))
+    digits = n * math.log10(cap + 1)
+    if digits > 8.0:
+        whole = math.floor(digits)
         raise SearchSpaceTooLarge(
-            f"{(cap + 1) ** n} grid points exceed the 1e8 enumeration guard"
+            f"{10.0 ** (digits - whole):.3g}e{whole} grid points exceed the 1e8 enumeration guard"
         )
     for total in range(0, n * cap + 1):
         for multiples in _compositions(total, n, cap):

@@ -179,7 +179,7 @@ def test_07_prime_design_canonical_scale():
     512-grid oracle, for p in {2, 3}, in under 2 min; the exact ``decide``
     also calls p = 2 covered.  The exact ``decide`` on p = 3 (1,225
     difference disks, 313 after the cell mask of ``apollonius._live_disks``)
-    calls it covered too, but takes 15-35 s, so it runs as its own CI step
+    calls it covered too, but takes 15-25 s, so it runs as its own CI step
     and not in this suite."""
     rho = 1.0 / math.sqrt(2.0)
     started = time.perf_counter()

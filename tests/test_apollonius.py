@@ -473,11 +473,11 @@ def _reference_vertex_sets(acs, radius, *, tol=TOL):
         if not (pair_ok(a, b) and pair_ok(a, c) and pair_ok(b, c)):
             continue
         try:
-            sols = tri_disk_vertices(disks[a], disks[b], disks[c], tol=tol)
+            sols = tri_disk_vertices(disks[a], disks[b], disks[c])
         except DegenerateTriple:
             continue
         for pt, r in sols:
-            if pt.norm() <= radius + tol and is_global_vertex(acs, pt, r, tol=tol):
+            if pt.norm() <= radius + tol and is_global_vertex(acs, pt, r):
                 on_rim = abs(pt.norm() - radius) <= tol
                 found.append((pt, "boundary_crossing" if on_rim else "interior_vertex"))
     for a, b in combinations(range(acs.size), 2):
@@ -599,7 +599,7 @@ def test_lattice_hole_vertex_once_per_owner():
               if abs(pt.x - 0.5) <= 1e-8 and abs(pt.y - 0.5) <= 1e-8]
     assert len(copies) == 4
 
-    xy, owner, kind = _witness_table(acs, cfg.objective_radius, TOL)
+    xy, owner, kind = _witness_table(acs, cfg.objective_radius)
     hole = np.flatnonzero((np.abs(xy[:, 0] - 0.5) <= 1e-8) & (np.abs(xy[:, 1] - 0.5) <= 1e-8))
     assert owner[hole].tolist() == tie
     assert (kind[hole] == INTERIOR_VERTEX).all()
@@ -623,7 +623,7 @@ def test_rim_vertex_once_per_owner_as_crossing(inset):
     v = (1.0 - inset, 0.0)
     acs = acs_of_disks([Disk(Point(v[0] + 0.5 * math.cos(t), v[1] + 0.5 * math.sin(t)), 0.1)
                          for t in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)])
-    xy, owner, kind = _witness_table(acs, 1.0, TOL)
+    xy, owner, kind = _witness_table(acs, 1.0)
     at_v = np.flatnonzero((np.abs(xy[:, 0] - v[0]) <= 1e-8) & (np.abs(xy[:, 1] - v[1]) <= 1e-8))
     assert owner[at_v].tolist() == [0, 1, 2]
     assert (kind[at_v] == BOUNDARY_CROSSING).all()
@@ -642,11 +642,11 @@ def test_first_copies_compares_with_kept_rows_only():
     assert _first_copies(xy, owner, 1e-8).tolist() == [0, 0, 2, 3, 0]
 
 
-def _far_and_contained(centers, radii, radius, tol):
+def _far_and_contained(centers, radii, radius):
     """The disk prune that the cell mask replaced: drop the disks whose
     smallest additive distance over the objective exceeds another disk's
     largest one, and the disks strictly inside another."""
-    slack = 4.0 * tol + 2e-9
+    slack = 4.0 * TOL + 2e-9
     norms = np.hypot(centers[:, 0], centers[:, 1])
     far = norms - radii - radius > (norms - radii + radius).min() + slack
     dist = np.hypot(centers[:, None, 0] - centers[None, :, 0],
@@ -678,9 +678,9 @@ def test_cell_mask_changes_no_witness(cfg, monkeypatch):
     """The witness table with the cell mask of ``_live_disks`` is
     bit-identical to the table with the far and containment prune."""
     acs = build_acs(cfg)
-    got = _witness_table(acs, cfg.objective_radius, TOL)
+    got = _witness_table(acs, cfg.objective_radius)
     monkeypatch.setattr(pupilcover.apollonius, "_live_disks", _far_and_contained)
-    want = _witness_table(acs, cfg.objective_radius, TOL)
+    want = _witness_table(acs, cfg.objective_radius)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert np.array_equal(g, w)
@@ -692,7 +692,7 @@ def test_cell_mask_keeps_few_disks_on_prime_design():
     cfg = prime_design(4.0, 1.0 / math.sqrt(2.0)).config
     acs = build_acs(cfg)
     assert acs.size == 289
-    live = _live_disks(acs.centers, acs.radii, cfg.objective_radius, TOL)
+    live = _live_disks(acs.centers, acs.radii, cfg.objective_radius)
     assert live.size <= 100
 
 
@@ -731,7 +731,7 @@ _CHUNK_SUBSETS = {
 
 def _table_bits(cfg):
     return [(a.dtype.str, a.shape, a.tobytes())
-            for a in _witness_table(build_acs(cfg), cfg.objective_radius, TOL)]
+            for a in _witness_table(build_acs(cfg), cfg.objective_radius)]
 
 
 @pytest.fixture(scope="module")

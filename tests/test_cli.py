@@ -280,6 +280,33 @@ def test_exhaustive_theta_beyond_objective(tmp_path, capsys):
     assert code == 2 and out == "" and "overflow" in err
 
 
+@pytest.mark.parametrize("theta", ["1e-200", "5e-324"])
+def test_exhaustive_tiny_theta_exit_3(tmp_path, capsys, theta):
+    """A grid step so small that the grid size overflows a float is refused
+    by the enumeration guard, with a short count, not a traceback."""
+    payload = {**UNCOVERED, "pupils": UNCOVERED["pupils"] + [{"x": 0.5, "y": 0.0, "r": 0.1}]}
+    code, out, err = run(capsys, "exhaustive", write_config(tmp_path, payload), "--theta", theta)
+    assert code == 3 and err == ""
+    error = json.loads(out)["error"]
+    assert error["type"] == "SearchSpaceTooLarge" and len(error["message"]) < 80
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", ["minsum", "minarea", "move"])
+def test_overflowing_area_is_written_as_null(tmp_path, capsys, command):
+    """A pupil whose area overflows gives strict JSON: the non-finite
+    total_area is null."""
+    payload = {"objective_radius": 1.0, "pupils": [{"x": 0.0, "y": 0.0, "r": 1e200},
+                                                   {"x": 0.5, "y": 0.0, "r": 0.1}]}
+    code, out, _ = run(capsys, command, write_config(tmp_path, payload))
+    assert code == 0
+    entries = json.loads(out, parse_constant=_reject_constant)["result"]["trace"]["iterations"]
+    assert entries[0]["total_area"] is None and entries[0]["sum_of_radii"] >= 1e200
+
+
 def test_render_empty_config_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, {"objective_radius": 1.0, "pupils": []})
     code, _, err = run(capsys, "render", path, "--out", str(tmp_path / "x.svg"))

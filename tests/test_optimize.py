@@ -135,10 +135,9 @@ def test_move_zero_residual_rows_fix_centers():
         for j in range(3)
         if i != j
     ]
-    for gauge in ("fix_centroid", "fix_first_center"):
-        moved = _solve_relocation(cfg, _row_arrays(rows), gauge)
-        for old, new in zip(cfg.centers, moved):
-            assert old.distance_to(new) <= 1e-9
+    moved = _solve_relocation(cfg, _row_arrays(rows))
+    for old, new in zip(cfg.centers, moved):
+        assert old.distance_to(new) <= 1e-9
 
 
 def _labels_walk_rows(an):
@@ -191,13 +190,14 @@ def test_move_decreases_leastsquares_objective():
         rows = relocation_targets(current)
         assert rows
         before = relocation_objective(current, rows)
-        moved = current.with_centers(_solve_relocation(current, _row_arrays(rows), "fix_centroid"))
+        moved = current.with_centers(_solve_relocation(current, _row_arrays(rows)))
         after = relocation_objective(moved, rows)
         assert after <= before + 1e-9
         current = moved
 
 
 def test_move_gauges_preserve_their_pins():
+    """The relocation keeps the centroid of the centers fixed."""
     cfg = PupilConfig(
         [Pupil(Point(-0.5, 0.0), 0.2), Pupil(Point(0.0, 0.1), 0.2), Pupil(Point(0.5, 0.0), 0.2)],
         1.0,
@@ -206,9 +206,6 @@ def test_move_gauges_preserve_their_pins():
     old = np.array([[c.x, c.y] for c in cfg.centers]).sum(axis=0)
     new = np.array([[c.x, c.y] for c in tr_centroid.final_config.centers]).sum(axis=0)
     assert np.allclose(old, new, atol=1e-8)
-
-    tr_first = move_pupils(cfg, OptimizerConfig(relocation_iterations=3, gauge="fix_first_center"))
-    assert tr_first.final_config.centers[0].distance_to(cfg.centers[0]) <= 1e-9
 
 
 def test_move_trace_reports_coverage_per_iteration():
@@ -242,9 +239,12 @@ def test_exhaustive_three_pupils_near_lower_bound(rng):
 
 
 def test_exhaustive_guard():
-    centers = [Point(float(k), 0.0) for k in range(12)]
-    with pytest.raises(SearchSpaceTooLarge):
-        exhaustive_search(centers, 1.0, OptimizerConfig(theta=1e-3))
+    """Grids past 1e8 points are refused, also where (R / 2 theta + 1)^n or
+    R / 2 theta itself overflows a float."""
+    for n, theta in ((12, 1e-3), (2, 1e-200), (2, 5e-324)):
+        centers = [Point(float(k), 0.0) for k in range(n)]
+        with pytest.raises(SearchSpaceTooLarge, match=r"\de\d+ grid points"):
+            exhaustive_search(centers, 1.0, OptimizerConfig(theta=theta))
 
 
 def test_exhaustive_lexicographic_tie_break():
@@ -411,7 +411,7 @@ def _move_by_public_views(cfg, opts):
         rows = relocation_targets(current)
         if not rows:
             break
-        current = current.with_centers(_solve_relocation(current, _row_arrays(rows), opts.gauge))
+        current = current.with_centers(_solve_relocation(current, _row_arrays(rows)))
         entries.append(_entry(current, decide(current)[0]))
     return entries, current
 
