@@ -27,15 +27,16 @@ chunks and the point-by-disk tests (containment, mask, ownership) each hold
 a bounded number of floats.  The one m x m array left is ``pair_ok`` over
 the m masked disks, and the rim stage holds arrays over its pairs, so memory
 grows as m^2 and the work as m^3 in the masked disk count.
-``vertex_sets`` is a per-disk view of the table.  The scalar
-``tri_disk_vertices`` and ``is_global_vertex`` are the reference the batched
-path is tested against.
+``vertex_sets`` is a per-disk view of the table.  The triple stage is the
+package's one equal-distance solver: ``tri_disk_vertices`` is its view of a
+single triple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Literal
 
 import numpy as np
@@ -129,10 +130,25 @@ class Bisector:
         return self.branch_sign * self.semi_axis * math.cosh(t)
 
 
+def _check_disks(acs: Acs, *disks: int) -> None:
+    """Raise ValueError unless every index is an integer naming a disk of
+    ``acs`` (numpy would wrap a negative one and take a bool as a mask)."""
+    for k in disks:
+        if isinstance(k, bool) or not isinstance(k, Integral) or not 0 <= k < acs.size:
+            raise ValueError(f"disk index {k!r} is not an integer in 0..{acs.size - 1}")
+
+
+def _check_radius(radius: float) -> None:
+    """Raise ValueError unless the objective radius is finite and positive."""
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+
+
 def bisector(acs: Acs, a: int, b: int) -> Bisector:
     """Bisector of two ACS disks (a hyperbola branch, or a line for equal
     radii).  Raises ConcentricDisks for coincident centers and EmptyBisector
     when one disk additively dominates the other."""
+    _check_disks(acs, a, b)
     (ax, ay), (bx, by) = acs.centers[[a, b]].tolist()
     ra, rb = acs.radii[[a, b]].tolist()
     dx, dy = bx - ax, by - ay
@@ -156,121 +172,6 @@ def bisector_point(bis: Bisector, t: float) -> Point:
     of minimal additive distance on the bisector) and the map is continuous
     and injective in t."""
     return bis.point(t)
-
-
-def _polish_vertex(x: float, y: float, r: float, cs, rs) -> tuple[float, float, float] | None:
-    """Newton-refine an equal-distance candidate to residual <= 1e-12 on
-    |x - c_k| - rho_k - r = 0 for all three disks.  Returns None when the
-    iteration cannot converge (spurious root of the squared system)."""
-    for _ in range(_NEWTON_STEPS):
-        ds = [math.hypot(x - c[0], y - c[1]) for c in cs]
-        if min(ds) <= 1e-12:
-            return None
-        f = [ds[k] - rs[k] - r for k in range(3)]
-        res = max(abs(v) for v in f)
-        if res <= 1e-13:
-            break
-        # Rows of the Jacobian: (unit vector from center, -1).
-        j = [((x - cs[k][0]) / ds[k], (y - cs[k][1]) / ds[k], -1.0) for k in range(3)]
-        det = (
-            j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1])
-            - j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0])
-            + j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0])
-        )
-        if abs(det) <= 1e-14:
-            return None
-        # Cramer solve of J * step = f.
-        def rep(col: int) -> float:
-            m = [list(j[0]), list(j[1]), list(j[2])]
-            for row in range(3):
-                m[row][col] = f[row]
-            return (
-                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-            )
-
-        sx, sy, sr = rep(0) / det, rep(1) / det, rep(2) / det
-        x, y, r = x - sx, y - sy, r - sr
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r)):
-            return None
-    ds = [math.hypot(x - c[0], y - c[1]) for c in cs]
-    if max(abs(ds[k] - rs[k] - r) for k in range(3)) > _FINAL_RESIDUAL:
-        return None
-    return x, y, r
-
-
-def tri_disk_vertices(d1: Disk, d2: Disk, d3: Disk) -> list[tuple[Point, float]]:
-    """All points at equal additive distance r to three disks, with that
-    common value (r may be negative when the point lies inside the disks).
-
-    Subtracting the squared distance equations pairwise leaves two linear
-    equations in (x, y, r); the solution line is parametrized and substituted
-    into one quadratic, and each real root is Newton-polished.  Returns 0, 1
-    or 2 solutions; raises DegenerateTriple when no isolated solution exists.
-    """
-    cs = [(d.center.x, d.center.y) for d in (d1, d2, d3)]
-    rs = [d.radius for d in (d1, d2, d3)]
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        if math.hypot(cs[a][0] - cs[b][0], cs[a][1] - cs[b][1]) <= TOL:
-            raise DegenerateTriple("two of the disks are concentric")
-
-    g = [cs[k][0] ** 2 + cs[k][1] ** 2 - rs[k] ** 2 for k in range(3)]
-    a1 = (2.0 * (cs[1][0] - cs[0][0]), 2.0 * (cs[1][1] - cs[0][1]), 2.0 * (rs[1] - rs[0]))
-    a2 = (2.0 * (cs[2][0] - cs[0][0]), 2.0 * (cs[2][1] - cs[0][1]), 2.0 * (rs[2] - rs[0]))
-    b1, b2 = g[1] - g[0], g[2] - g[0]
-
-    # Null direction of the 2x3 system via the cross product of its rows.
-    nx = a1[1] * a2[2] - a1[2] * a2[1]
-    ny = a1[2] * a2[0] - a1[0] * a2[2]
-    nz = a1[0] * a2[1] - a1[1] * a2[0]
-    norm1 = math.sqrt(a1[0] ** 2 + a1[1] ** 2 + a1[2] ** 2)
-    norm2 = math.sqrt(a2[0] ** 2 + a2[1] ** 2 + a2[2] ** 2)
-    if math.sqrt(nx * nx + ny * ny + nz * nz) <= 1e-10 * norm1 * norm2:
-        raise DegenerateTriple("rank-deficient equal-distance system")
-
-    # Particular solution: pin the unknown matching the largest null component
-    # (its 2x2 minor is the best conditioned).
-    ax, ay, az = abs(nx), abs(ny), abs(nz)
-    if az >= ax and az >= ay:
-        p0 = ((b1 * a2[1] - b2 * a1[1]) / nz, (a1[0] * b2 - a2[0] * b1) / nz, 0.0)
-    elif ay >= ax:
-        det = -ny
-        p0 = ((b1 * a2[2] - b2 * a1[2]) / det, 0.0, (a1[0] * b2 - a2[0] * b1) / det)
-    else:
-        p0 = (0.0, (b1 * a2[2] - b2 * a1[2]) / nx, (a1[1] * b2 - a2[1] * b1) / nx)
-
-    # Substitute the line p0 + lam*n into |p - c1|^2 = (rho1 + r)^2.
-    dx, dy = p0[0] - cs[0][0], p0[1] - cs[0][1]
-    rr = rs[0] + p0[2]
-    qa = nx * nx + ny * ny - nz * nz
-    qb = 2.0 * (dx * nx + dy * ny - rr * nz)
-    qc = dx * dx + dy * dy - rr * rr
-
-    lams: list[float] = []
-    scale = abs(qb) + abs(qc) + 1.0
-    if abs(qa) <= 1e-14 * scale:
-        if abs(qb) > 1e-14 * scale:
-            lams.append(-qc / qb)
-    else:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc >= -1e-12 * scale * scale:
-            sq = math.sqrt(max(disc, 0.0))
-            lams.extend(((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)))
-
-    out: list[tuple[Point, float]] = []
-    for lam in lams:
-        seed = (p0[0] + lam * nx, p0[1] + lam * ny, p0[2] + lam * nz)
-        polished = _polish_vertex(*seed, cs, rs)
-        if polished is None:
-            continue
-        x, y, r = polished
-        if any(abs(x - ox) <= 1e-9 and abs(y - oy) <= 1e-9 and abs(r - orr) <= 1e-9
-               for (ox, oy), orr in [((p.x, p.y), pr) for p, pr in out]):
-            continue
-        out.append((Point(x, y), r))
-    out.sort(key=lambda pr: (pr[1], pr[0].x, pr[0].y))
-    return out
 
 
 def is_global_vertex(acs: Acs, x: Point, r: float) -> bool:
@@ -373,11 +274,11 @@ def _null_lines(c):
 
 def _seeds(idx, disks):
     """Closed-form equal-distance candidates of the triples ``idx`` (3,
-    triples) of ``disks`` (3, m: x, y and radius rows), as in
-    ``tri_disk_vertices``.  Returns the candidates' slots, 2 * triple for the
-    single root or the smaller-lam root and 2 * triple + 1 for the larger-lam
-    root, in increasing order, and their (x, y, r) seeds, a (3, candidates)
-    array."""
+    triples) of ``disks`` (3, m: x, y and radius rows): the real roots of the
+    line of ``_null_lines`` in one squared equation.  Returns the candidates'
+    slots, 2 * triple for the single root or the smaller-lam root and
+    2 * triple + 1 for the larger-lam root, in increasing order, and their
+    (x, y, r) seeds, a (3, candidates) array."""
     c0 = disks[:, idx[0]]
     p0, n, regular = _null_lines(disks[:, idx])
 
@@ -449,13 +350,14 @@ def _newton_step(p, k, disks):
 
 
 def _polish(xyr, k, disks):
-    """Vectorized ``_polish_vertex``: Newton on |x - c_k| - rho_k - r = 0 for
-    the candidates (x, y, r), the columns of ``xyr``, each with the three
-    disks of its column of ``k`` (indices into ``disks``, rows x, y and
-    radius).  A step gathers the disks of the moving candidates only and
-    solves the 3x3 Jacobian system in closed form, reduced to 2x2 by
-    subtracting the first row.  Writes the polished values into ``xyr`` and
-    returns the mask of candidates that converged."""
+    """Newton on |x - c_k| - rho_k - r = 0 for the candidates (x, y, r), the
+    columns of ``xyr``, each with the three disks of its column of ``k``
+    (indices into ``disks``, rows x, y and radius).  A step gathers the disks
+    of the moving candidates only and solves the 3x3 Jacobian system in
+    closed form, reduced to 2x2 by subtracting the first row.  A candidate
+    that meets a center, a singular Jacobian or a non-finite step (a spurious
+    root of the squared system) is dropped.  Writes the polished values into
+    ``xyr`` and returns the mask of candidates that converged."""
     keep = np.zeros(xyr.shape[1], dtype=bool)
     live = np.arange(xyr.shape[1])
     p = xyr
@@ -474,10 +376,10 @@ def _polish(xyr, k, disks):
 
 
 def _solve_triples(idx, disks):
-    """Batched ``tri_disk_vertices`` over one chunk of triples ``idx`` (3,
-    triples) of ``disks`` (3, m: x, y and radius rows).  Returns the (x, y,
-    r) of every polished solution, a (3, solutions) array in triple order,
-    duplicates within a triple removed."""
+    """The equal-distance points of each triple of one chunk ``idx`` (3,
+    triples) of ``disks`` (3, m: x, y and radius rows), seeded by ``_seeds``
+    and polished by ``_polish``.  Returns their (x, y, r), a (3, solutions)
+    array in triple order, duplicates within a triple removed."""
     slot, xyr = _seeds(idx, disks)
     keep = _polish(xyr, idx[:, slot // 2], disks)
 
@@ -486,6 +388,23 @@ def _solve_triples(idx, disks):
     first = second - 1
     keep[second] &= ~(keep[first] & (np.abs(xyr[:, second] - xyr[:, first]).max(axis=0) <= 1e-9))
     return xyr[:, keep]
+
+
+def tri_disk_vertices(d1: Disk, d2: Disk, d3: Disk) -> list[tuple[Point, float]]:
+    """All points at equal additive distance r to three disks, with that
+    common value (r may be negative when the point lies inside the disks),
+    sorted by (r, x, y): the one-triple view of ``_solve_triples``, 0, 1 or 2
+    solutions.  Raises DegenerateTriple when two disks are concentric or the
+    equal-distance system is rank deficient (no isolated solution)."""
+    disks = np.array([[d.center.x, d.center.y, d.radius] for d in (d1, d2, d3)]).T
+    gap = disks[:2, [0, 0, 1]] - disks[:2, [1, 2, 2]]
+    if (np.hypot(gap[0], gap[1]) <= TOL).any():
+        raise DegenerateTriple("two of the disks are concentric")
+    idx = np.arange(3)[:, None]
+    if not _null_lines(disks[:, idx])[2][0]:
+        raise DegenerateTriple("rank-deficient equal-distance system")
+    x, y, r = _solve_triples(idx, disks).tolist()
+    return [(Point(px, py), pr) for pr, px, py in sorted(zip(r, x, y))]
 
 
 def _interior_vertices(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ok: np.ndarray,
@@ -659,8 +578,8 @@ def boundary_crossings(acs: Acs, a: int, b: int, radius: float) -> list[Point]:
     The crossings are the unit roots of one quartic in e^{i theta} (a
     quadratic for equal radii), Newton-polished on the unsquared condition;
     see ``_rim_crossings``."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_disks(acs, a, b)
+    _check_radius(radius)
     c = acs.centers
     px, py, _, _ = _rim_witnesses(c[:, 0], c[:, 1], acs.radii, np.array([a]),
                                   np.array([b]), radius)
@@ -744,8 +663,7 @@ def _witness_table(acs: Acs, radius: float) -> tuple[np.ndarray, np.ndarray, np.
 def vertex_sets(acs: Acs, radius: float) -> list[VertexSet]:
     """Witness sets for every ACS disk: its rows of ``_witness_table`` as
     (Point, kind name) pairs, in table order (angle, then norm)."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_radius(radius)
     xy, owner, kind = _witness_table(acs, radius)
     points = [(Point(x, y), _KIND_NAMES[k]) for (x, y), k in zip(xy.tolist(), kind.tolist())]
     ends = np.searchsorted(owner, np.arange(acs.size + 1)).tolist()

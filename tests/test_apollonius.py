@@ -33,6 +33,7 @@ from pupilcover import (
 )
 from pupilcover.apollonius import (BOUNDARY_CROSSING, INTERIOR_VERTEX, _first_copies, _live_disks,
                                    _witness_table)
+from tests import reference
 from tests.conftest import acs_disks, acs_of_disks, g4_lattice, near_collinear_start
 from tests.test_coverage import _G4_LATTICES
 
@@ -218,6 +219,67 @@ def test_tri_disk_collinear_distinct_radii_still_solves():
             assert abs((pt.distance_to(d.center) - d.radius) - r) <= 1e-9
 
 
+def _view_reference_triples():
+    """Seeded triples for the view-against-reference test: random (centers in
+    [-1, 1]^2, radii in [0, 0.4]), near-collinear (the third center off the
+    line by 0, 1e-12, 1e-9 or 1e-6, equal and distinct radii) and triples of
+    integer lattice points with equal radii."""
+    rng = np.random.default_rng(4242)
+    out = [[Disk(Point(float(x), float(y)), float(r)) for x, y, r in
+            zip(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3), rng.uniform(0, 0.4, 3))]
+           for _ in range(1500)]
+    for offset in (0.0, 1e-12, 1e-9, 1e-6):
+        for equal in (True, False):
+            for _ in range(40):
+                xs = rng.uniform(-1, 1, 3)
+                rs = np.full(3, 0.3) if equal else rng.uniform(0, 0.4, 3)
+                out.append([Disk(Point(float(xs[k]), offset if k == 2 else 0.0), float(rs[k]))
+                            for k in range(3)])
+    lattice = [Point(float(i), float(j)) for i in range(4) for j in range(4)]
+    out += [[Disk(p, 0.5) for p in trio] for trio in combinations(lattice, 3)]
+    return out
+
+
+def test_tri_disk_view_matches_scalar_reference():
+    """``tri_disk_vertices`` (the one-triple view of the batched solve) and
+    the scalar solve of ``tests.reference`` agree: the same triples are
+    degenerate, and where every solution of both lies within |x| <= 10 they
+    give the same number of solutions and each (x, y, r) within 1e-9.
+
+    Beyond that they may differ, and do.  On 25,000 random triples of each
+    of the seeds 4242 and 7, no degenerate outcome differed, and 21 and 14
+    triples differed in count or by more than 1e-9.  In each of them only
+    solutions at |x| >= 88 differed: far from the disks a root is poorly
+    conditioned (one moved by 2e-7 at |x| = 563), and two roots that nearly
+    coincide end less than 1e-9 apart in one polish and more in the other,
+    so one solver keeps a duplicate the other drops.  The tolerance stays at
+    1e-9; such triples are checked only for the equal-distance residual of
+    the view's solutions.  The witness table is built by the batched solve
+    itself, so the difference never reaches it."""
+    near = 0
+    for disks in _view_reference_triples():
+        try:
+            got = tri_disk_vertices(*disks)
+        except DegenerateTriple:
+            got = None
+        try:
+            want = reference.tri_disk_vertices(*disks)
+        except DegenerateTriple:
+            want = None
+        assert (got is None) == (want is None), disks
+        if got is None:
+            continue
+        for pt, r in got:
+            assert all(abs(delta(d, pt) - r) <= 1e-9 for d in disks), (disks, got)
+        if any(pt.norm() > 10.0 for pt, _ in got + want):
+            continue
+        near += 1
+        assert len(got) == len(want), (disks, got, want)
+        for (p, r), (q, s) in zip(got, want):
+            assert max(abs(p.x - q.x), abs(p.y - q.y), abs(r - s)) <= 1e-9, (disks, got, want)
+    assert near >= 1000
+
+
 def test_is_global_vertex():
     cfg = PupilConfig([Pupil(Point(0, 0), 0.3), Pupil(Point(1, 0), 0.2)], 1.0)
     acs = build_acs(cfg)
@@ -253,6 +315,25 @@ def test_boundary_crossings_residuals(rng):
         for pt in boundary_crossings(acs, 0, 1, radius):
             assert abs(pt.norm() - radius) <= 1e-9
             assert abs(delta(d1, pt) - delta(d2, pt)) <= 1e-9
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_non_finite_or_non_positive_radius_raises(radius):
+    acs = acs_of_disks([Disk(Point(-1, 0), 1.0), Disk(Point(1, 0), 1.0), Disk(Point(0, 1), 0.5)])
+    with pytest.raises(ValueError, match="finite and positive"):
+        vertex_sets(acs, radius)
+    with pytest.raises(ValueError, match="finite and positive"):
+        boundary_crossings(acs, 0, 1, radius)
+
+
+@pytest.mark.parametrize("a, b", [(-1, 1), (0, -3), (3, 0), (1, 7), (1.0, 0), (True, 2)])
+def test_disk_index_outside_acs_raises(a, b):
+    acs = acs_of_disks([Disk(Point(-1, 0), 0.2), Disk(Point(1, 0), 0.4), Disk(Point(0, 1), 0.3)])
+    with pytest.raises(ValueError, match=r"not an integer in 0\.\.2"):
+        bisector(acs, a, b)
+    with pytest.raises(ValueError, match=r"not an integer in 0\.\.2"):
+        boundary_crossings(acs, a, b, 2.0)
+    assert bisector(acs, np.int64(0), np.intp(2)).disk_b == 2
 
 
 def _turned(x, y, phi):
@@ -460,8 +541,9 @@ def _scan_crossings(acs, a, b, radius, *, samples=720, tol=TOL):
 
 def _reference_vertex_sets(acs, radius, *, tol=TOL):
     """Witness sets built one triple and one pair at a time from scalar
-    pieces: ``tri_disk_vertices`` and ``is_global_vertex`` for the vertices,
-    the grid scan ``_scan_crossings`` for the rim, owners by ``delta_min``."""
+    pieces: the scalar solve of ``tests.reference`` and ``is_global_vertex``
+    for the vertices, the grid scan ``_scan_crossings`` for the rim, owners
+    by ``delta_min``."""
     disks = acs_disks(acs)
 
     def pair_ok(a, b):
@@ -473,7 +555,7 @@ def _reference_vertex_sets(acs, radius, *, tol=TOL):
         if not (pair_ok(a, b) and pair_ok(a, c) and pair_ok(b, c)):
             continue
         try:
-            sols = tri_disk_vertices(disks[a], disks[b], disks[c])
+            sols = reference.tri_disk_vertices(disks[a], disks[b], disks[c])
         except DegenerateTriple:
             continue
         for pt, r in sols:
@@ -595,7 +677,7 @@ def test_lattice_hole_vertex_once_per_owner():
     tie = [k for k, c in enumerate(centers.tolist()) if c in ([0, 0], [1, 0], [0, 1], [1, 1])]
     assert len(tie) == 4
     copies = [pt for a, b, c in combinations(tie, 3)
-              for pt, _ in tri_disk_vertices(*(acs_disks(acs)[k] for k in (a, b, c)))
+              for pt, _ in reference.tri_disk_vertices(*(acs_disks(acs)[k] for k in (a, b, c)))
               if abs(pt.x - 0.5) <= 1e-8 and abs(pt.y - 0.5) <= 1e-8]
     assert len(copies) == 4
 
