@@ -27,6 +27,17 @@ chunks and the point-by-disk tests (containment, mask, ownership) each hold
 a bounded number of floats.  The one m x m array left is ``pair_ok`` over
 the m masked disks, and the rim stage holds arrays over its pairs, so memory
 grows as m^2 and the work as m^3 in the masked disk count.
+
+The worst witness alone, a row of largest additive distance, needs only
+the disks near the maximum.  The cell pass ``_peak_cells`` starts from the
+mask's grid over the masked disks, evaluates the minimum F at every cell
+center, drops the cells whose Lipschitz bound F(center) + half-diagonal
+falls short of the best center inside the objective by more than the
+ownership and polish tolerances plus a band, and splits the rest into four,
+three times.  The disks within twice the last half-diagonal (plus slack and
+band) of the minimum at a kept center are the ones ``_witness_table`` then
+runs on: in the kept cells its rows are those of the full table, so the
+rows of largest value are too, and the work follows the kept disks.
 ``vertex_sets`` is a per-disk view of the table.  The triple stage is the
 package's one equal-distance solver: ``tri_disk_vertices`` is its view of a
 single triple.
@@ -62,6 +73,17 @@ _OWNER_CELLS = 4096
 # Stopping rules of the Newton polish of the vertices.
 _NEWTON_STEPS = 40
 _FINAL_RESIDUAL = 1e-9
+
+# Slack of the disk masks: the ownership tolerance and the polish residual,
+# twice each.
+_SLACK = 4.0 * TOL + 2.0 * _FINAL_RESIDUAL
+
+# Cell pass of the worst witness (``_peak_cells``): four-way splits after the
+# first grid, the quadrant offsets of a split, and the band by which a cell's
+# bound may fall short of the best center's value and the cell still stay.
+_PEAK_LEVELS = 3
+_SPLIT = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])
+_PEAK_BAND = 1e-7
 
 # Rim crossings: samples of the pair pre-prune, the band about the unit
 # circle of candidate roots, Newton steps, and the residual kept (times
@@ -180,6 +202,37 @@ def is_global_vertex(acs: Acs, x: Point, r: float) -> bool:
     return delta_min(acs, x)[0] >= r - TOL
 
 
+def _grid(m: int, radius: float):
+    """The cell grid of ``_live_disks`` for m disks: G x G cells, G = max(16,
+    ceil(2 sqrt(m))), over the square [-reach, reach]^2, reach = radius +
+    TOL.  Returns reach, G, the cell step, and the integer coordinates of
+    the cells whose centers lie within reach plus the cell half-diagonal of
+    the origin."""
+    reach = radius + TOL
+    cells = max(16, math.ceil(2.0 * math.sqrt(m)))
+    step = 2.0 * reach / cells
+    ix, iy = np.meshgrid(np.arange(cells), np.arange(cells), indexing="ij")
+    qx, qy = _cell_centers(ix, iy, reach, step)
+    cell = np.hypot(qx, qy) <= reach + step / math.sqrt(2.0)
+    return reach, cells, step, ix[cell], iy[cell]
+
+
+def _cell_centers(ix: np.ndarray, iy: np.ndarray, reach: float, step: float):
+    """Centers of the cells (ix, iy) of a grid of step ``step`` whose first
+    cell has its corner at (-reach, -reach)."""
+    return -reach + step * (ix + 0.5), -reach + step * (iy + 0.5)
+
+
+def _near_disks(px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray,
+                rho: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the disks within ``tol`` of the smallest additive distance at
+    one or more of the points."""
+    near = np.zeros(cx.size, dtype=bool)
+    for _, d in _distances(px, py, cx, cy, rho):
+        near |= (d <= d.min(axis=1, keepdims=True) + tol).any(axis=0)
+    return near
+
+
 def _live_disks(centers: np.ndarray, radii: np.ndarray, radius: float) -> np.ndarray:
     """Indices of the disks that can attain the minimal additive distance
     (within ``TOL``) somewhere within radius + TOL of the origin.
@@ -187,34 +240,80 @@ def _live_disks(centers: np.ndarray, radii: np.ndarray, radius: float) -> np.nda
     The slack below covers the ownership tolerance and the polish residual,
     so that no witness, owner or value changes.  Disks strictly inside
     another (by the slack) are dropped first; they are never the minimum.
-    The rest pass a cell mask: a G x G grid, G = max(16, ceil(2 sqrt(m))),
-    over the square [-(radius + TOL), radius + TOL]^2 keeps the cells whose
-    centers q lie within radius + TOL plus the cell half-diagonal h of the
-    origin, and a disk stays if at some kept q it is within 2h + slack of
-    the minimum.  Additive distances are 1-Lipschitz, so a disk within the
+    The rest pass a cell mask over the cells of ``_grid``: a disk stays if
+    at some cell center it is within 2h + slack of the minimum, h the cell
+    half-diagonal.  Additive distances are 1-Lipschitz, so a disk within the
     slack of the minimum anywhere in a cell passes at the cell's center."""
-    slack = 4.0 * TOL + 2.0 * _FINAL_RESIDUAL
     m = radii.size
     rows = max(1, _OWNER_CELLS // max(1, m))
     inside = np.zeros(m, dtype=bool)
     for s in range(0, m, rows):
         dist = np.hypot(centers[s:s + rows, None, 0] - centers[None, :, 0],
                         centers[s:s + rows, None, 1] - centers[None, :, 1])
-        inside[s:s + rows] = (dist < radii[None, :] - radii[s:s + rows, None] - slack).any(axis=1)
+        inside[s:s + rows] = (dist < radii[None, :] - radii[s:s + rows, None] - _SLACK).any(axis=1)
     cand = np.flatnonzero(~inside)
 
-    reach = radius + TOL
-    cells = max(16, math.ceil(2.0 * math.sqrt(m)))
-    step = 2.0 * reach / cells
-    half = step / math.sqrt(2.0)
-    axis = -reach + step * (np.arange(cells) + 0.5)
-    qx, qy = np.meshgrid(axis, axis, indexing="ij")
-    cell = np.hypot(qx, qy) <= reach + half
-    _, dk = _owner_pairs(qx[cell], qy[cell], centers[cand, 0], centers[cand, 1], radii[cand],
-                         2.0 * half + slack)
-    near = np.zeros(cand.size, dtype=bool)
-    near[dk] = True
+    reach, _, step, ix, iy = _grid(m, radius)
+    qx, qy = _cell_centers(ix, iy, reach, step)
+    near = _near_disks(qx, qy, centers[cand, 0], centers[cand, 1], radii[cand],
+                       2.0 * (step / math.sqrt(2.0)) + _SLACK)
     return cand[near]
+
+
+def _peak_cells(centers: np.ndarray, radii: np.ndarray, radius: float):
+    """The cell pass of the worst witness: the disks that can own a witness
+    of largest additive distance, and a test for the points of the cells
+    that can hold one.
+
+    F(x) = min_k delta_k(x) is 1-Lipschitz, so over a cell with center q and
+    half-diagonal h it stays below F(q) + h.  Starting from the cells of
+    ``_grid`` over the disks of ``_live_disks``, each pass evaluates F at the
+    cell centers, takes the largest value L at a center within the
+    objective, drops the cells with F(q) + h below L - (TOL + 2
+    ``_FINAL_RESIDUAL`` + ``_PEAK_BAND``) and those that miss the disk of
+    radius + TOL, where every witness lies, and splits every kept cell into
+    four, for ``_PEAK_LEVELS`` splits.  A witness row's value is within TOL
+    of F at its point, and the polish moves it by far less than the band,
+    so every row of largest value lies, with all points within the band of
+    it, in a kept cell of the last grid.  The disks kept are those within
+    2h + slack + 2 band of the minimum at some kept center: in and near a
+    kept cell they hold the minimizing disk and every disk within the
+    ownership slack of it, so the witness table built on them has there the
+    rows of the table built on all disks, bit for bit.
+
+    Returns the kept disks' indices, ascending, and a function that maps
+    points (k, 2) to the mask of those in a kept cell (by an integer cell
+    lookup, with 1e-12 of play at the cell edges)."""
+    live = _live_disks(centers, radii, radius)
+    cx, cy, rho = centers[live, 0], centers[live, 1], radii[live]
+    reach, cells, step, ix, iy = _grid(radii.size, radius)
+    cells <<= _PEAK_LEVELS
+    margin = TOL + 2.0 * _FINAL_RESIDUAL + _PEAK_BAND
+    for level in range(_PEAK_LEVELS + 1):
+        if level:
+            ix = (2 * ix[:, None] + _SPLIT[0]).ravel()
+            iy = (2 * iy[:, None] + _SPLIT[1]).ravel()
+            step /= 2.0
+        qx, qy = _cell_centers(ix, iy, reach, step)
+        f = np.concatenate([d.min(axis=1) for _, d in _distances(qx, qy, cx, cy, rho)])
+        norm, half = np.hypot(qx, qy), step / math.sqrt(2.0)
+        top = f[norm <= radius].max(initial=-math.inf)
+        keep = (f + half >= top - margin) & (norm <= reach + half)
+        ix, iy, qx, qy = ix[keep], iy[keep], qx[keep], qy[keep]
+    near = _near_disks(qx, qy, cx, cy, rho, 2.0 * half + _SLACK + 2.0 * _PEAK_BAND)
+
+    def in_kept(xy: np.ndarray) -> np.ndarray:
+        # Made here, after the witness table, so as not to add to its peak.
+        kept = np.zeros((cells, cells), dtype=bool)
+        kept[ix, iy] = True
+        hit = np.zeros(len(xy), dtype=bool)
+        for ex in (-1e-12, 1e-12):
+            i = np.clip(((xy[:, 0] + ex + reach) / step).astype(np.intp), 0, cells - 1)
+            for ey in (-1e-12, 1e-12):
+                hit |= kept[i, np.clip(((xy[:, 1] + ey + reach) / step).astype(np.intp), 0, cells - 1)]
+        return hit
+
+    return live[near], in_kept
 
 
 def _triples(ok: np.ndarray):
@@ -519,15 +618,22 @@ def _rim_crossings(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ia: np.ndarr
     return pair[~dup], theta[~dup]
 
 
+def _distances(px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray,
+               rho: np.ndarray):
+    """The additive distances of the disks at the points, as (first point,
+    points x disks block) in blocks of at most ``_OWNER_CELLS`` cells."""
+    rows = max(1, _OWNER_CELLS // max(1, cx.size))
+    for s in range(0, px.size, rows):
+        yield s, np.hypot(px[s:s + rows, None] - cx[None, :], py[s:s + rows, None] - cy[None, :]) \
+            - rho[None, :]
+
+
 def _owner_pairs(px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray,
                  rho: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(point, disk) index pairs, in row-major order, where the disk's
     additive distance is within ``tol`` of the smallest one at the point."""
-    rows = max(1, _OWNER_CELLS // max(1, cx.size))
     pts, dks = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for s in range(0, px.size, rows):
-        d = np.hypot(px[s:s + rows, None] - cx[None, :], py[s:s + rows, None] - cy[None, :]) \
-            - rho[None, :]
+    for s, d in _distances(px, py, cx, cy, rho):
         p, k = np.nonzero(d <= d.min(axis=1, keepdims=True) + tol)
         pts.append(p + s)
         dks.append(k)
@@ -577,10 +683,13 @@ def boundary_crossings(acs: Acs, a: int, b: int, radius: float) -> list[Point]:
 
     The crossings are the unit roots of one quartic in e^{i theta} (a
     quadratic for equal radii), Newton-polished on the unsquared condition;
-    see ``_rim_crossings``."""
+    see ``_rim_crossings``.  Raises ConcentricDisks, as ``bisector`` does,
+    when the centers are within ``TOL`` (``a == b`` included)."""
     _check_disks(acs, a, b)
     _check_radius(radius)
     c = acs.centers
+    if math.hypot(*(c[b] - c[a]).tolist()) <= TOL:
+        raise ConcentricDisks(f"disks {a} and {b} are concentric")
     px, py, _, _ = _rim_witnesses(c[:, 0], c[:, 1], acs.radii, np.array([a]),
                                   np.array([b]), radius)
     out = [Point(float(x), float(y)) for x, y in zip(px, py)]
@@ -620,10 +729,13 @@ def _first_copies(xy: np.ndarray, owner: np.ndarray, gap: float) -> np.ndarray:
     return into
 
 
-def _witness_table(acs: Acs, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _witness_table(acs: Acs, radius: float,
+                   disks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The witness set of every ACS disk as one table: points ``xy`` (k, 2),
     owning disk ``owner`` (k,) and kind code ``kind`` (k,), one row per
-    (witness, owner), ordered by owner, then angle, then norm.
+    (witness, owner), ordered by owner, then angle, then norm.  It is built
+    on the disks ``_live_disks`` keeps, or on ``disks`` (ascending ACS
+    indices) when given, as the cell pass of ``_peak_cells`` gives them.
 
     The rows are the equal-distance vertices of disk triples that are global
     minima inside the objective, in triple order, then the rim crossings of
@@ -633,7 +745,7 @@ def _witness_table(acs: Acs, radius: float) -> tuple[np.ndarray, np.ndarray, np.
     the row it copies becomes a rim crossing if the copy is one."""
     centers = acs.centers
     radii = acs.radii
-    live = _live_disks(centers, radii, radius)
+    live = _live_disks(centers, radii, radius) if disks is None else disks
     cx, cy, rho = centers[live, 0], centers[live, 1], radii[live]
 
     # A common equal-distance point needs every pairwise bisector to be

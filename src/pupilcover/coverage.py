@@ -13,9 +13,17 @@ rim crossings are the polished unit roots of one quartic per disk pair (see
 ``build_analysis`` makes one ``Analysis`` per configuration from one ACS and
 one witness table (``apollonius._witness_table``: points, owning disks and
 kind codes), plus the diametral fallbacks, each disk's largest additive
-distance and the worst witness.  ``decide``, ``alpha_star``,
-``per_disk_alpha`` and ``analyze`` are views of it, as are the optimizer's
-relocation rows and the SVG witness marks.  The per-pair enlargements
+distance and the worst witness.  ``per_disk_alpha`` and ``analyze`` are
+views of it, as are the optimizer's relocation rows and the SVG witness
+marks.  ``decide`` and ``alpha_star`` need only the worst witness, the
+first row of largest additive distance.  They read it off the same row
+assembly on a smaller table: the cell pass ``apollonius._peak_cells``
+bounds the 1-Lipschitz minimum over grid cells, keeps the cells that can
+hold the maximum and the disks that can own a witness there, and the
+witness table of those disks, restricted to the kept cells, holds the full
+table's rows of largest value bit for bit (``_worst_witness``).  So their
+answers equal ``build_analysis``'s, and their cost follows the region near
+the maximum rather than the number of disk triples.  The per-pair enlargements
 (``per_disk_alpha``, ``CoverageReport.per_disk_alpha``) are a read-only
 mapping, ``PairValues``, from every (i, j) to its disk's value; it holds the
 ACS's pair-to-disk index ``Acs.pair_disk`` and ``Analysis.disk_alpha``.
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apollonius import (BOUNDARY_CROSSING, INTERIOR_VERTEX, _first_copies, _owner_pairs,
-                         _witness_table)
+                         _peak_cells, _witness_table)
 from .geom import TOL, Acs, Point, PupilConfig, build_acs, delta_min
 
 
@@ -157,14 +165,11 @@ def _diametral_fallbacks(acs: Acs, radius: float) -> tuple[np.ndarray, np.ndarra
     return pts, owned
 
 
-def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None) -> Analysis:
-    """The witness analysis of ``cfg``: the witness table of its ACS
-    (``acs`` when the caller has built it), each disk's diametral fallback
-    unless one of its witnesses lies within 1e-8 of it, and the additive
-    distance of every witness to its owner."""
-    acs = build_acs(cfg) if acs is None else acs
-    radius = cfg.objective_radius
-    xy, owner, kind = _witness_table(acs, radius)
+def _rows(acs: Acs, radius: float, xy: np.ndarray, owner: np.ndarray, kind: np.ndarray):
+    """The witness rows of an analysis from a witness table: the table's
+    rows and each disk's diametral fallback unless one of its rows lies
+    within 1e-8 of it, grouped by owner, and the additive distance of every
+    row's point to its owner."""
     fb, owned = _diametral_fallbacks(acs, radius)
     owned[owner[(np.abs(xy - fb[owner]) <= 1e-8).all(axis=1)]] = False
     extra = np.flatnonzero(owned)
@@ -172,29 +177,58 @@ def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None) -> Analysis:
     xy = np.concatenate([xy, fb[extra]])[order]
     owner = np.concatenate([owner, extra])[order]
     kind = np.concatenate([kind, np.full(extra.size, DIAMETRAL)])[order]
-
     centers, radii = acs.centers, acs.radii
     values = np.hypot(xy[:, 0] - centers[owner, 0], xy[:, 1] - centers[owner, 1]) - radii[owner]
+    return xy, owner, kind, values
+
+
+def _worst(xy: np.ndarray, values: np.ndarray) -> tuple[float, Point | None]:
+    """The largest value and the point of its first row, or (-inf, None)
+    when there are no rows."""
+    if values.size == 0:
+        return -math.inf, None
+    w = int(np.argmax(values))
+    return float(values[w]), Point(float(xy[w, 0]), float(xy[w, 1]))
+
+
+def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None) -> Analysis:
+    """The witness analysis of ``cfg``: the witness table of its ACS
+    (``acs`` when the caller has built it), each disk's diametral fallback
+    unless one of its witnesses lies within 1e-8 of it, and the additive
+    distance of every witness to its owner."""
+    acs = build_acs(cfg) if acs is None else acs
+    radius = cfg.objective_radius
+    xy, owner, kind, values = _rows(acs, radius, *_witness_table(acs, radius))
     disk_alpha = np.full(acs.size, np.nan)
     np.fmax.at(disk_alpha, owner, values)
-    if values.size:
-        w = int(np.argmax(values))
-        worst_value, worst_point = float(values[w]), Point(float(xy[w, 0]), float(xy[w, 1]))
-    else:
-        worst_value, worst_point = -math.inf, None
-    return Analysis(cfg, acs, xy, owner, kind, disk_alpha, worst_value, worst_point)
+    return Analysis(cfg, acs, xy, owner, kind, disk_alpha, *_worst(xy, values))
+
+
+def _worst_witness(cfg: PupilConfig) -> tuple[float, Point | None]:
+    """``build_analysis(cfg)``'s ``worst_value`` and ``worst_point``, from
+    the rows that the cell pass ``apollonius._peak_cells`` keeps: the same
+    assembly on the witness table of the disks that can reach the maximum,
+    restricted to the kept cells, where its rows are the full table's."""
+    acs = build_acs(cfg)
+    radius = cfg.objective_radius
+    disks, in_kept = _peak_cells(acs.centers, acs.radii, radius)
+    xy, _, _, values = _rows(acs, radius, *_witness_table(acs, radius, disks))
+    keep = in_kept(xy)
+    return _worst(xy[keep], values[keep])
 
 
 def decide(cfg: PupilConfig) -> tuple[bool, Point | None]:
     """Is the objective covered by the union of the difference disks?
 
-    Returns (covered, witness); the witness is an uncovered point when the
-    answer is negative.  A pupil of radius at least half the objective's
-    makes its own difference disk cover the objective, which short-circuits
-    the computation."""
+    Returns (covered, witness).  When the answer is negative the witness is
+    the uncovered point of largest additive distance, ``build_analysis``'s
+    worst point, found by the cell pass of ``_worst_witness``.  A pupil of
+    radius at least half the objective's makes its own difference disk
+    cover the objective, which short-circuits the computation."""
     if _covers_trivially(cfg):
         return True, None
-    return build_analysis(cfg).decision()
+    value, point = _worst_witness(cfg)
+    return (True, None) if value <= TOL else (False, point)
 
 
 def coverage_oracle(cfg: PupilConfig, resolution: int) -> tuple[bool, Point | None]:
@@ -236,8 +270,9 @@ def alpha_star(cfg: PupilConfig) -> float:
     """Minimal uniform amount by which every difference-disk radius must grow
     for the objective to be covered (negative values mean slack).  Enlarging
     all disks uniformly leaves the proximity diagram unchanged, so the value
-    is the maximal additive distance over the witness set."""
-    return build_analysis(cfg).worst_value
+    is the maximal additive distance over the witness set, read off the cell
+    pass of ``_worst_witness``: ``build_analysis``'s ``worst_value``."""
+    return _worst_witness(cfg)[0]
 
 
 def per_disk_alpha(cfg: PupilConfig) -> PairValues:

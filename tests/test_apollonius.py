@@ -33,6 +33,7 @@ from pupilcover import (
 )
 from pupilcover.apollonius import (BOUNDARY_CROSSING, INTERIOR_VERTEX, _first_copies, _live_disks,
                                    _witness_table)
+from pupilcover.coverage import build_analysis
 from tests import reference
 from tests.conftest import acs_disks, acs_of_disks, g4_lattice, near_collinear_start
 from tests.test_coverage import _G4_LATTICES
@@ -305,6 +306,20 @@ def test_boundary_crossings_no_intersection():
     acs = acs_of_disks([Disk(Point(5.0, 0), 0.2), Disk(Point(6.0, 0), 0.2)])
     pts = boundary_crossings(acs, 0, 1, 1.0)
     assert pts == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 2), (1, 3), (3, 1)])
+def test_boundary_crossings_concentric_raises(a, b):
+    """The same disk twice, or two centers within TOL, has no bisector:
+    ``boundary_crossings`` raises ConcentricDisks as ``bisector`` does, with
+    no numpy warning on the way."""
+    acs = acs_of_disks([Disk(Point(-0.5, 0.2), 0.3), Disk(Point(0.1, 0.4), 0.2),
+                        Disk(Point(0.3, -0.2), 0.2), Disk(Point(0.1, 0.4 + 0.5 * TOL), 0.25)])
+    with pytest.raises(ConcentricDisks):
+        bisector(acs, a, b)
+    with pytest.raises(ConcentricDisks):
+        boundary_crossings(acs, a, b, 1.0)
 
 
 def test_boundary_crossings_residuals(rng):
@@ -623,10 +638,17 @@ def test_batched_vertex_sets_match_scalar_reference(cfg, monkeypatch):
     reference = _reference_vertex_sets(acs, radius)
     _assert_contains(vertex_sets(acs, radius), reference)
 
-    got = (decide(cfg), alpha_star(cfg), per_disk_alpha(cfg))
+    # decide and alpha_star answer from the cell pass and the table of its
+    # disks; build_analysis reads the table of all live disks.  Both go
+    # through coverage's _witness_table, so both see the reference table.
+    an = build_analysis(cfg)
+    got = (an.decision(), an.worst_value, per_disk_alpha(cfg))
+    assert (decide(cfg), alpha_star(cfg)) == got[:2]
     monkeypatch.setattr(pupilcover.coverage, "_witness_table",
                         lambda *args, **kw: _table_of(reference))
-    want = (decide(cfg), alpha_star(cfg), per_disk_alpha(cfg))
+    an = build_analysis(cfg)
+    want = (an.decision(), an.worst_value, per_disk_alpha(cfg))
+    assert (decide(cfg), alpha_star(cfg)) == want[:2]
     assert got[0][0] == want[0][0]
     assert got[1] == pytest.approx(want[1], abs=1e-12)
     assert got[2].keys() == want[2].keys()
@@ -835,22 +857,26 @@ def test_witness_table_does_not_depend_on_chunk_size(chunk, default_chunk_tables
             assert _table_bits(cfg) == default_chunk_tables[label], label
 
 
-def _peak_kib(cfg) -> float:
-    """Traced peak of one ``build_analysis`` of ``cfg`` above what was
-    allocated before it, in KiB, after one untraced warm-up call."""
-    pupilcover.coverage.build_analysis(cfg)
+def _peak_kib(call, cfg) -> float:
+    """Traced peak of one ``call(cfg)`` above what was allocated before it,
+    in KiB, after one untraced warm-up call."""
+    call(cfg)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        pupilcover.coverage.build_analysis(cfg)
+        call(cfg)
         return (tracemalloc.get_traced_memory()[1] - base) / 1024.0
     finally:
         tracemalloc.stop()
 
 
+_RANDOM_N9 = _decide_random_designs()[2]
+_SQUARE_LATTICE = g4_lattice("square", 0.9 * math.sqrt(2.0) / 4.0, 2.5)
+
+
 @pytest.mark.parametrize("cfg, measured", [
-    pytest.param(_decide_random_designs()[2], 351, id="random n=9"),
-    pytest.param(g4_lattice("square", 0.9 * math.sqrt(2.0) / 4.0, 2.5), 318, id="square lattice"),
+    pytest.param(_RANDOM_N9, 351, id="random n=9"),
+    pytest.param(_SQUARE_LATTICE, 318, id="square lattice"),
 ])
 def test_build_analysis_peak_memory(cfg, measured):
     """Memory guard: the benchmark's binding bound is its peak RSS, which
@@ -861,4 +887,16 @@ def test_build_analysis_peak_memory(cfg, measured):
     1024-triple chunks would."""
     if cfg.n == 9:
         assert not decide(cfg)[0]
-    assert _peak_kib(cfg) <= 1.5 * measured
+    assert _peak_kib(pupilcover.coverage.build_analysis, cfg) <= 1.5 * measured
+
+
+@pytest.mark.parametrize("cfg, measured", [
+    pytest.param(_RANDOM_N9, 193, id="random n=9"),
+    pytest.param(_SQUARE_LATTICE, 310, id="square lattice"),
+])
+def test_decide_peak_memory(cfg, measured):
+    """The same guard for ``decide``, whose cell pass builds the witness
+    table on the disks near the maximum: 9 of 45 live disks on the random
+    design, and 25 of 37 on the lattice, whose holes all tie.  The traced
+    peak (``measured`` KiB, numpy 2.4) stays under 1.5 times that."""
+    assert _peak_kib(pupilcover.coverage.decide, cfg) <= 1.5 * measured

@@ -18,9 +18,10 @@ from pupilcover import (
     delta_min,
     max_objective,
     per_disk_alpha,
+    prime_design,
 )
 from pupilcover.coverage import build_analysis
-from tests.conftest import acs_disks, count_calls, g4_lattice, random_config
+from tests.conftest import acs_disks, count_calls, g4_lattice, near_collinear_start, random_config
 
 
 def two_pupil_example() -> PupilConfig:
@@ -284,6 +285,46 @@ def test_views_of_one_analysis_agree_on_lattices(kind, rho, radius):
     covered, witness = decide(cfg)
     assert report.covered == (a <= 1e-9) == covered
     assert report.witness == witness
+
+
+def _agreement_designs():
+    """The designs of the agreement test: 27 seeded random designs, n = 1 to
+    9 pupils with centers in [-0.5, 0.5]^2 and radii in [c/2, c] for c =
+    0.15, 0.3 or 0.45 (6 covered, 21 not), the six g = 4 lattices, the ten
+    acceptance-10 starts and the p = 2 prime design."""
+    rng = np.random.default_rng(4711)
+    cases = []
+    for k in range(27):
+        n, cap = 1 + k % 9, (0.15, 0.3, 0.45)[k // 9]
+        pupils = [Pupil(Point(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.5, 0.5))),
+                        float(rng.uniform(cap / 2.0, cap))) for _ in range(n)]
+        cases.append(pytest.param(PupilConfig(pupils, 1.0), True, id=f"random {k} n={n}"))
+    cases += [pytest.param(g4_lattice(kind, rho, radius), False, id=f"{kind} rho={rho:.4f}")
+              for kind, rho, radius in _G4_LATTICES]
+    cases += [pytest.param(near_collinear_start(seed), False, id=f"start {seed}")
+              for seed in range(10)]
+    cases.append(pytest.param(prime_design(4.0, 1.0 / math.sqrt(2.0)).config, False, id="p = 2"))
+    return cases
+
+
+def _assert_views_match(cfg, an):
+    assert decide(cfg) == an.decision()
+    assert alpha_star(cfg) == an.worst_value
+
+
+@pytest.mark.parametrize("cfg, grow", _agreement_designs())
+def test_decide_and_alpha_star_match_the_analysis(cfg, grow):
+    """``decide`` and ``alpha_star`` read the worst witness off the cell
+    pass, not off ``build_analysis``; their answers are ``build_analysis``'s
+    bit for bit, the witness ``Point`` compared with ``==``.  An uncovered
+    random design is also grown to exactly alpha*/2 and to alpha*/2 +- 1e-9,
+    where the verdict turns on the last bits of alpha*."""
+    an = build_analysis(cfg)
+    _assert_views_match(cfg, an)
+    if grow and an.worst_value > 0.0:
+        for e in (0.0, 1e-9, -1e-9):
+            grown = cfg.enlarged(an.worst_value / 2.0 + e)
+            _assert_views_match(grown, build_analysis(grown))
 
 
 def _dict_fan_out(an):
