@@ -14,9 +14,12 @@ Additive distance is 1-Lipschitz, so the mask changes no witness.  The
 triple stage enumerates the triples of masked disks whose three pairs have a
 bisector, as index columns, and runs each chunk of them through a pipeline:
 closed-form seeds from the equal-distance line and quadratic (``_seeds``),
-whose temporaries are freed before a Newton polish that gathers the disks of
-its still-moving candidates by index at every step (``_polish``), then a
-running global-minimum test over the masked disks.  Every stage is
+which keep only the roots of the squared system tangent to all three disks
+the right way (rho_k + r = +|x - c_k|, not -|x - c_k|; Emiris & Karavelas,
+"The predicates of the Apollonius diagram", CGTA 2006) and whose
+temporaries are freed before a Newton polish that gathers the disks of its
+still-moving candidates by index at every step (``_polish``), then a running
+global-minimum test over the masked disks.  Every stage is
 elementwise per triple or per candidate and keeps the candidate order, so
 the chunk size changes no bit of the table.  The rim stage is exact: a
 coarse angle grid drops, by the same Lipschitz bound, the pairs whose disks
@@ -28,19 +31,19 @@ a bounded number of floats.  The one m x m array left is ``pair_ok`` over
 the m masked disks, and the rim stage holds arrays over its pairs, so memory
 grows as m^2 and the work as m^3 in the masked disk count.
 
-The worst witness alone, a row of largest additive distance, needs only
-the disks near the maximum.  The cell pass ``_peak_cells`` starts from the
-mask's grid over the masked disks, evaluates the minimum F at every cell
-center, drops the cells whose Lipschitz bound F(center) + half-diagonal
+The worst witness alone, a row of largest additive distance, needs only the
+disks near the maximum.  The cell pass ``_peak_cells`` starts from the mask's
+grid over the masked disks and the minimum F that the mask took at every
+cell center, drops the cells whose Lipschitz bound F(center) + half-diagonal
 falls short of the best center inside the objective by more than the
 ownership and polish tolerances plus a band, and splits the rest into four,
-three times.  The disks within twice the last half-diagonal (plus slack and
-band) of the minimum at a kept center are the ones ``_witness_table`` then
-runs on: in the kept cells its rows are those of the full table, so the
-rows of largest value are too, and the work follows the kept disks.
-``vertex_sets`` is a per-disk view of the table.  The triple stage is the
-package's one equal-distance solver: ``tri_disk_vertices`` is its view of a
-single triple.
+evaluating F at the new centers, three times.  The disks within twice the
+last half-diagonal (plus slack and band) of the minimum at a kept center are
+the ones ``_witness_table`` then runs on: in the kept cells its rows are
+those of the full table, so the rows of largest value are too, and the work
+follows the kept disks.  ``vertex_sets`` is a per-disk view of the table.  The
+triple stage is the package's one equal-distance solver:
+``tri_disk_vertices`` is its view of a single triple.
 """
 
 from __future__ import annotations
@@ -224,18 +227,30 @@ def _cell_centers(ix: np.ndarray, iy: np.ndarray, reach: float, step: float):
 
 
 def _near_disks(px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray,
-                rho: np.ndarray, tol: float) -> np.ndarray:
+                rho: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the disks within ``tol`` of the smallest additive distance at
-    one or more of the points."""
+    one or more of the points, and that smallest distance at each point."""
     near = np.zeros(cx.size, dtype=bool)
-    for _, d in _distances(px, py, cx, cy, rho):
-        near |= (d <= d.min(axis=1, keepdims=True) + tol).any(axis=0)
-    return near
+    low = np.empty(px.size)
+    for s, d in _distances(px, py, cx, cy, rho):
+        m = d.min(axis=1, keepdims=True)
+        near |= (d <= m + tol).any(axis=0)
+        low[s:s + m.size] = m[:, 0]
+    return near, low
 
 
 def _live_disks(centers: np.ndarray, radii: np.ndarray, radius: float) -> np.ndarray:
     """Indices of the disks that can attain the minimal additive distance
-    (within ``TOL``) somewhere within radius + TOL of the origin.
+    (within ``TOL``) somewhere within radius + TOL of the origin: the first
+    result of ``_live_disks_and_minima``."""
+    return _live_disks_and_minima(centers, radii, radius)[0]
+
+
+def _live_disks_and_minima(centers: np.ndarray, radii: np.ndarray,
+                           radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The disks of ``_live_disks``, ascending, and the minimal additive
+    distance over them at the centers of the cells of ``_grid``, in the
+    grid's order.
 
     The slack below covers the ownership tolerance and the polish residual,
     so that no witness, owner or value changes.  Disks strictly inside
@@ -243,7 +258,9 @@ def _live_disks(centers: np.ndarray, radii: np.ndarray, radius: float) -> np.nda
     The rest pass a cell mask over the cells of ``_grid``: a disk stays if
     at some cell center it is within 2h + slack of the minimum, h the cell
     half-diagonal.  Additive distances are 1-Lipschitz, so a disk within the
-    slack of the minimum anywhere in a cell passes at the cell's center."""
+    slack of the minimum anywhere in a cell passes at the cell's center.
+    The minimum over the candidates at a center is that over the kept disks,
+    since the disk attaining it is kept."""
     m = radii.size
     rows = max(1, _OWNER_CELLS // max(1, m))
     inside = np.zeros(m, dtype=bool)
@@ -255,9 +272,9 @@ def _live_disks(centers: np.ndarray, radii: np.ndarray, radius: float) -> np.nda
 
     reach, _, step, ix, iy = _grid(m, radius)
     qx, qy = _cell_centers(ix, iy, reach, step)
-    near = _near_disks(qx, qy, centers[cand, 0], centers[cand, 1], radii[cand],
-                       2.0 * (step / math.sqrt(2.0)) + _SLACK)
-    return cand[near]
+    near, low = _near_disks(qx, qy, centers[cand, 0], centers[cand, 1], radii[cand],
+                            2.0 * (step / math.sqrt(2.0)) + _SLACK)
+    return cand[near], low
 
 
 def _peak_cells(centers: np.ndarray, radii: np.ndarray, radius: float):
@@ -267,24 +284,25 @@ def _peak_cells(centers: np.ndarray, radii: np.ndarray, radius: float):
 
     F(x) = min_k delta_k(x) is 1-Lipschitz, so over a cell with center q and
     half-diagonal h it stays below F(q) + h.  Starting from the cells of
-    ``_grid`` over the disks of ``_live_disks``, each pass evaluates F at the
-    cell centers, takes the largest value L at a center within the
-    objective, drops the cells with F(q) + h below L - (TOL + 2
-    ``_FINAL_RESIDUAL`` + ``_PEAK_BAND``) and those that miss the disk of
-    radius + TOL, where every witness lies, and splits every kept cell into
-    four, for ``_PEAK_LEVELS`` splits.  A witness row's value is within TOL
-    of F at its point, and the polish moves it by far less than the band,
-    so every row of largest value lies, with all points within the band of
-    it, in a kept cell of the last grid.  The disks kept are those within
-    2h + slack + 2 band of the minimum at some kept center: in and near a
-    kept cell they hold the minimizing disk and every disk within the
-    ownership slack of it, so the witness table built on them has there the
-    rows of the table built on all disks, bit for bit.
+    ``_grid`` over the disks of ``_live_disks``, each pass evaluates F at
+    the cell centers (the first pass reads the mask's minima there), takes
+    the largest value L at a center within the objective, drops the cells
+    with F(q) + h below L - (TOL + 2 ``_FINAL_RESIDUAL`` + ``_PEAK_BAND``)
+    and those that miss the disk of radius + TOL, where every witness lies,
+    and splits every kept cell into four, for ``_PEAK_LEVELS`` splits.  A
+    witness row's value is within TOL of F at its point, and the polish
+    moves it by far less than the band, so every row of largest value lies,
+    with all points within the band of it, in a kept cell of the last
+    grid.  The disks kept are those within 2h + slack + 2 band of the minimum
+    at some kept center: in and near a kept cell they hold the minimizing
+    disk and every disk within the ownership slack of it, so the witness
+    table built on them has there the rows of the table built on all disks,
+    bit for bit.
 
     Returns the kept disks' indices, ascending, and a function that maps
     points (k, 2) to the mask of those in a kept cell (by an integer cell
     lookup, with 1e-12 of play at the cell edges)."""
-    live = _live_disks(centers, radii, radius)
+    live, f = _live_disks_and_minima(centers, radii, radius)
     cx, cy, rho = centers[live, 0], centers[live, 1], radii[live]
     reach, cells, step, ix, iy = _grid(radii.size, radius)
     cells <<= _PEAK_LEVELS
@@ -295,12 +313,13 @@ def _peak_cells(centers: np.ndarray, radii: np.ndarray, radius: float):
             iy = (2 * iy[:, None] + _SPLIT[1]).ravel()
             step /= 2.0
         qx, qy = _cell_centers(ix, iy, reach, step)
-        f = np.concatenate([d.min(axis=1) for _, d in _distances(qx, qy, cx, cy, rho)])
+        if level:
+            f = np.concatenate([d.min(axis=1) for _, d in _distances(qx, qy, cx, cy, rho)])
         norm, half = np.hypot(qx, qy), step / math.sqrt(2.0)
         top = f[norm <= radius].max(initial=-math.inf)
         keep = (f + half >= top - margin) & (norm <= reach + half)
         ix, iy, qx, qy = ix[keep], iy[keep], qx[keep], qy[keep]
-    near = _near_disks(qx, qy, cx, cy, rho, 2.0 * half + _SLACK + 2.0 * _PEAK_BAND)
+    near = _near_disks(qx, qy, cx, cy, rho, 2.0 * half + _SLACK + 2.0 * _PEAK_BAND)[0]
 
     def in_kept(xy: np.ndarray) -> np.ndarray:
         # Made here, after the witness table, so as not to add to its peak.
@@ -377,7 +396,14 @@ def _seeds(idx, disks):
     line of ``_null_lines`` in one squared equation.  Returns the candidates'
     slots, 2 * triple for the single root or the smaller-lam root and
     2 * triple + 1 for the larger-lam root, in increasing order, and their
-    (x, y, r) seeds, a (3, candidates) array."""
+    (x, y, r) seeds, a (3, candidates) array.
+
+    A root of the squared system |x - c_k|^2 = (rho_k + r)^2 has rho_k + r =
+    +-|x - c_k| at each disk k of its triple.  Where the sign is negative the
+    point is tangent to disk k the wrong way and is no equal-distance point,
+    so a root with rho_k + r < -|x - c_k| / 2 - TOL at some k is dropped.
+    Every equal-distance point is a root with the positive sign at all
+    three disks, so it stays a candidate of its own triple."""
     c0 = disks[:, idx[0]]
     p0, n, regular = _null_lines(disks[:, idx])
 
@@ -403,7 +429,11 @@ def _seeds(idx, disks):
     has[one, 0] = has[two, 0] = has[two, 1] = True
     slot = np.flatnonzero(has)
     tri, lam = slot // 2, lam.ravel()[slot]
-    return slot, p0[:, tri] + lam * n[:, tri]
+    xyr = p0[:, tri] + lam * n[:, tri]
+    real = np.ones(slot.size, dtype=bool)
+    for k in idx[:, tri]:
+        real &= disks[2, k] + xyr[2] >= -0.5 * np.hypot(xyr[0] - disks[0, k], xyr[1] - disks[1, k]) - TOL
+    return slot[real], xyr[:, real]
 
 
 def _newton_step(p, k, disks):
@@ -482,8 +512,12 @@ def _solve_triples(idx, disks):
     slot, xyr = _seeds(idx, disks)
     keep = _polish(xyr, idx[:, slot // 2], disks)
 
-    # A second root that polishes onto the first is the same solution.
+    # A larger-lam root that polishes onto the smaller-lam root of its own
+    # triple is the same solution.  Either root may have been dropped by the
+    # seeds, so the two are paired by slot (slots increase, so position 0
+    # never pairs with position -1).
     second = np.flatnonzero(slot % 2)
+    second = second[slot[second - 1] == slot[second] - 1]
     first = second - 1
     keep[second] &= ~(keep[first] & (np.abs(xyr[:, second] - xyr[:, first]).max(axis=0) <= 1e-9))
     return xyr[:, keep]

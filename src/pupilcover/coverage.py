@@ -13,20 +13,23 @@ rim crossings are the polished unit roots of one quartic per disk pair (see
 ``build_analysis`` makes one ``Analysis`` per configuration from one ACS and
 one witness table (``apollonius._witness_table``: points, owning disks and
 kind codes), plus the diametral fallbacks, each disk's largest additive
-distance and the worst witness.  ``per_disk_alpha`` and ``analyze`` are
-views of it, as are the optimizer's relocation rows and the SVG witness
-marks.  ``decide`` and ``alpha_star`` need only the worst witness, the
-first row of largest additive distance.  They read it off the same row
-assembly on a smaller table: the cell pass ``apollonius._peak_cells``
-bounds the 1-Lipschitz minimum over grid cells, keeps the cells that can
-hold the maximum and the disks that can own a witness there, and the
-witness table of those disks, restricted to the kept cells, holds the full
-table's rows of largest value bit for bit (``_worst_witness``).  So their
-answers equal ``build_analysis``'s, and their cost follows the region near
-the maximum rather than the number of disk triples.  The per-pair enlargements
-(``per_disk_alpha``, ``CoverageReport.per_disk_alpha``) are a read-only
-mapping, ``PairValues``, from every (i, j) to its disk's value; it holds the
-ACS's pair-to-disk index ``Acs.pair_disk`` and ``Analysis.disk_alpha``.
+distance and the worst witness.  ``per_disk_alpha`` and ``analyze`` are views
+of it, as are the optimizer's relocation rows and the SVG witness
+marks.  ``decide`` and ``alpha_star`` need only the worst witness: the
+largest additive distance, and the first row within 1e-12 of it, so that
+rows tying up to their last bits do not swap the point.  They read it off the
+same row assembly on a smaller table: the cell pass
+``apollonius._peak_cells`` bounds the 1-Lipschitz minimum over grid cells,
+keeps the cells that can hold the maximum and the disks that can own a
+witness there, and the witness table of those disks, restricted to the kept
+cells, holds bit for bit the full table's rows within the cell pass's band
+(1e-7, far wider than 1e-12) of the largest value (``_worst_witness``).  So
+their answers equal ``build_analysis``'s, and their cost follows the region
+near the maximum rather than the number of disk triples.  The per-pair
+enlargements (``per_disk_alpha``, ``CoverageReport.per_disk_alpha``) are a
+read-only mapping, ``PairValues``, from every (i, j) to its disk's value; it
+holds the ACS's pair-to-disk index ``Acs.pair_disk`` and
+``Analysis.disk_alpha``.
 """
 
 from __future__ import annotations
@@ -92,6 +95,10 @@ class PairValues(Mapping):
         return repr(dict(self.items()))
 
 
+#: Rows whose values are within this of the largest value tie for the
+#: worst witness; the first of them in table order is taken.
+_WORST_TIE = 1e-12
+
 #: Kind code of a diametral fallback witness, after the two of the witness
 #: table (``apollonius.INTERIOR_VERTEX`` and ``BOUNDARY_CROSSING``).
 DIAMETRAL = 2
@@ -116,7 +123,7 @@ class Analysis:
     # cell contributes no witness (it misses the objective)
     disk_alpha: np.ndarray
     worst_value: float      # max additive distance over all witnesses
-    worst_point: Point | None
+    worst_point: Point | None  # first witness within 1e-12 of worst_value
 
     @property
     def covered(self) -> bool:
@@ -145,7 +152,7 @@ class Analysis:
 def _covers_trivially(cfg: PupilConfig) -> bool:
     """A pupil of radius at least half the objective's makes its own
     difference disk cover the objective."""
-    return any(2.0 * p.radius >= cfg.objective_radius for p in cfg.pupils)
+    return bool((2.0 * cfg.xyr[:, 2] >= cfg.objective_radius).any())
 
 
 def _diametral_fallbacks(acs: Acs, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -183,12 +190,16 @@ def _rows(acs: Acs, radius: float, xy: np.ndarray, owner: np.ndarray, kind: np.n
 
 
 def _worst(xy: np.ndarray, values: np.ndarray) -> tuple[float, Point | None]:
-    """The largest value and the point of its first row, or (-inf, None)
-    when there are no rows."""
+    """The largest value and the point of the first row whose value is within
+    ``_WORST_TIE`` of it, or (-inf, None) when there are no rows.  Rows that
+    tie at the maximum up to their last bits, such as the mirror witnesses w
+    and -w of the centrally symmetric difference disks, then give the same
+    point whichever of them rounds higher."""
     if values.size == 0:
         return -math.inf, None
-    w = int(np.argmax(values))
-    return float(values[w]), Point(float(xy[w, 0]), float(xy[w, 1]))
+    top = values.max()
+    w = int(np.argmax(values >= top - _WORST_TIE))
+    return float(top), Point(float(xy[w, 0]), float(xy[w, 1]))
 
 
 def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None) -> Analysis:

@@ -6,7 +6,7 @@ from each pupil pair to its disk, which every other module reads."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -53,6 +53,12 @@ class Disk:
             raise ValueError(f"invalid disk radius {self.radius}")
 
 
+def _check_pupil_radius(radius: float) -> None:
+    """Raise ValueError unless a pupil radius is finite and nonnegative."""
+    if not math.isfinite(radius) or radius < 0:
+        raise ValueError(f"invalid pupil radius {radius}")
+
+
 @dataclass(frozen=True, slots=True)
 class Pupil:
     """A pupil: one of the small design disks.  Radius zero is legal."""
@@ -61,64 +67,105 @@ class Pupil:
     radius: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.radius) or self.radius < 0:
-            raise ValueError(f"invalid pupil radius {self.radius}")
+        _check_pupil_radius(self.radius)
 
 
-@dataclass(frozen=True)
 class PupilConfig:
     """An ordered pupil set plus the radius of the objective disk.
+
+    The pupils are held as one read-only (n, 3) float array ``xyr``: center
+    x, center y and radius per pupil.  ``pupils``, ``centers`` and ``radii``
+    build their objects from it on demand.  Two configurations are equal,
+    and hash alike, when their pupils and objective radii are equal as
+    floats, as tuples of ``Pupil`` would be (0.0 equals -0.0).
 
     The objective is always centered at the origin; configurations with a
     shifted objective are rejected at construction/parse time rather than
     translated silently.
     """
 
-    pupils: tuple[Pupil, ...]
+    __slots__ = ("xyr", "objective_radius")
+    xyr: np.ndarray
     objective_radius: float
 
     def __init__(self, pupils, objective_radius: float):
-        object.__setattr__(self, "pupils", tuple(pupils))
+        self._set(np.fromiter(((p.center.x, p.center.y, p.radius) for p in pupils), dtype=(float, 3)),
+                  objective_radius)
+
+    @classmethod
+    def _of(cls, xyr: np.ndarray, objective_radius: float) -> "PupilConfig":
+        """A configuration holding ``xyr``, a new (n, 3) array of valid
+        pupils, without building their objects."""
+        cfg = object.__new__(cls)
+        cfg._set(xyr, objective_radius)
+        return cfg
+
+    def _set(self, xyr: np.ndarray, objective_radius: float) -> None:
+        """Check the pupils ``xyr`` and the objective radius, and hold them,
+        the array read-only."""
         object.__setattr__(self, "objective_radius", float(objective_radius))
-        if len(self.pupils) < 1:
+        if xyr.shape[0] < 1:
             raise ValueError("a configuration needs at least one pupil")
         if not math.isfinite(self.objective_radius) or self.objective_radius <= 0:
             raise ValueError(f"objective radius must be positive, got {objective_radius}")
-        xs = [p.center.x for p in self.pupils]
-        ys = [p.center.y for p in self.pupils]
-        spans = (max(xs) - min(xs), max(ys) - min(ys), 2.0 * max(self.radii))
-        if not all(map(math.isfinite, spans)):
+        with np.errstate(over="ignore"):
+            spans = (*np.ptp(xyr[:, :2], axis=0), 2.0 * xyr[:, 2].max())
+        if not np.isfinite(spans).all():
             raise ValueError("pupil centers or radii too large: the difference disks overflow")
+        xyr.flags.writeable = False
+        object.__setattr__(self, "xyr", xyr)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.objective_radius == other.objective_radius
+                and self.xyr.shape == other.xyr.shape and bool((self.xyr == other.xyr).all()))
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.xyr.ravel().tolist()), self.objective_radius))
+
+    def __repr__(self) -> str:
+        return f"PupilConfig(pupils={self.pupils!r}, objective_radius={self.objective_radius!r})"
+
+    @property
+    def pupils(self) -> tuple[Pupil, ...]:
+        return tuple(Pupil(Point(x, y), r) for x, y, r in self.xyr.tolist())
 
     @property
     def n(self) -> int:
-        return len(self.pupils)
+        return self.xyr.shape[0]
 
     @property
     def radii(self) -> tuple[float, ...]:
-        return tuple(p.radius for p in self.pupils)
+        return tuple(self.xyr[:, 2].tolist())
 
     @property
     def centers(self) -> tuple[Point, ...]:
-        return tuple(p.center for p in self.pupils)
+        return tuple(Point(x, y) for x, y in self.xyr[:, :2].tolist())
 
     def with_radii(self, radii) -> "PupilConfig":
-        radii = tuple(float(r) for r in radii)
+        radii = [float(r) for r in radii]
         if len(radii) != self.n:
             raise ValueError("radius count does not match pupil count")
-        return PupilConfig(
-            [Pupil(p.center, r) for p, r in zip(self.pupils, radii)],
-            self.objective_radius,
-        )
+        for r in radii:
+            _check_pupil_radius(r)
+        xyr = self.xyr.copy()
+        xyr[:, 2] = radii
+        return PupilConfig._of(xyr, self.objective_radius)
 
     def with_centers(self, centers) -> "PupilConfig":
-        centers = tuple(centers)
-        if len(centers) != self.n:
+        xy = [(c.x, c.y) for c in centers]
+        if len(xy) != self.n:
             raise ValueError("center count does not match pupil count")
-        return PupilConfig(
-            [Pupil(c, p.radius) for p, c in zip(self.pupils, centers)],
-            self.objective_radius,
-        )
+        xyr = self.xyr.copy()
+        xyr[:, :2] = xy
+        return PupilConfig._of(xyr, self.objective_radius)
 
     def enlarged(self, amount: float) -> "PupilConfig":
         """Return a copy with every pupil radius increased by ``amount``."""
@@ -214,8 +261,7 @@ def build_acs(cfg: PupilConfig) -> Acs:
     of the first group root (a label that started a group) whose center is
     within MERGE_TOL of its own in both coordinates, or starts a group."""
     n = cfg.n
-    xy = np.array([(p.center.x, p.center.y) for p in cfg.pupils], dtype=float)
-    r = np.array(cfg.radii, dtype=float)
+    xy, r = cfg.xyr[:, :2], cfg.xyr[:, 2]
     cx = (xy[:, None, 0] - xy[None, :, 0]).ravel()
     cy = (xy[:, None, 1] - xy[None, :, 1]).ravel()
     rad = (r[:, None] + r[None, :]).ravel()

@@ -121,7 +121,7 @@ def _radius_constraints(an: Analysis, opts: OptimizerConfig) -> tuple[np.ndarray
     alpha = an.disk_alpha[an.acs.pair_disk].ravel()
     pair = np.flatnonzero(~np.isnan(alpha))
     i, j = np.divmod(pair, n)
-    radii = np.array(cfg.radii)
+    radii = cfg.xyr[:, 2]
     b = radii[i] + radii[j] + alpha[pair]
     sign = np.ones(pair.size)
     if opts.forbid_overlap:
@@ -207,7 +207,7 @@ def _relocation_rows(an: Analysis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     labels i and j and the (rows, 2) witness targets, ordered by disk, then
     label (i, j) in row-major order, then witness."""
     pair_disk = an.acs.pair_disk.ravel()
-    radii = np.array(an.cfg.radii)
+    radii = an.cfg.xyr[:, 2]
     i, j = np.divmod(np.arange(pair_disk.size), an.cfg.n)
     # The difference of a center with itself carries no gradient.
     keep = (i != j) & (radii[i] + radii[j] >= an.acs.radii[pair_disk] - 1e-12)
@@ -242,7 +242,7 @@ def _solve_relocation(cfg: PupilConfig, rows) -> list[Point]:
     r = np.arange(i.size)
     a[r, i] += 1.0
     a[r, j] -= 1.0
-    total = np.array([[c.x, c.y] for c in cfg.centers]).sum(axis=0)
+    total = cfg.xyr[:, :2].sum(axis=0)
     reduced = a[:, :-1] - a[:, -1:]
     rhs = t - np.outer(a[:, -1], total)
     sol, *_ = np.linalg.lstsq(reduced, rhs, rcond=None)

@@ -180,7 +180,7 @@ def test_07_prime_design_canonical_scale():
     also calls p = 2 covered.  The exact ``decide`` on p = 3 (1,225
     difference disks, 313 after the cell mask of ``apollonius._live_disks``,
     293 after the cell pass of ``apollonius._peak_cells``) calls it covered
-    too, but takes 10-25 s, so it runs as its own CI step, next to
+    too, but takes 10-15 s, so it runs as its own CI step, next to
     ``build_analysis``, and not in this suite."""
     rho = 1.0 / math.sqrt(2.0)
     started = time.perf_counter()

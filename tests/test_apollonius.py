@@ -32,7 +32,7 @@ from pupilcover import (
     vertex_sets,
 )
 from pupilcover.apollonius import (BOUNDARY_CROSSING, INTERIOR_VERTEX, _first_copies, _live_disks,
-                                   _witness_table)
+                                   _seeds, _solve_triples, _witness_table)
 from pupilcover.coverage import build_analysis
 from tests import reference
 from tests.conftest import acs_disks, acs_of_disks, g4_lattice, near_collinear_start
@@ -279,6 +279,55 @@ def test_tri_disk_view_matches_scalar_reference():
         for (p, r), (q, s) in zip(got, want):
             assert max(abs(p.x - q.x), abs(p.y - q.y), abs(r - s)) <= 1e-9, (disks, got, want)
     assert near >= 1000
+
+
+#: A triple whose squared equal-distance system has two real roots, the
+#: first (smaller lam) tangent to a disk the wrong way: its only
+#: equal-distance point is its second root.
+_SECOND_ROOT_ONLY = [Disk(Point(0.8354170261579053, 0.15056153420922924), 0.37869201617550124),
+                     Disk(Point(-0.11147055354447, 0.023768239959849113), 0.36612147627812663),
+                     Disk(Point(0.5205681722325304, 0.3143205316937616), 0.28809386520242153)]
+
+
+def test_triple_with_only_its_second_root_real():
+    """The seeds drop the wrong-way first root, and the second root is kept:
+    it is not compared with the first root of another triple, nor with
+    itself, when the twin dedupe pairs the roots of a triple by slot."""
+    disks = np.array([[d.center.x, d.center.y, d.radius] for d in _SECOND_ROOT_ONLY]).T
+    idx = np.arange(3)[:, None]
+    slot, _ = _seeds(idx, disks)
+    assert slot.tolist() == [1]
+    assert tri_disk_vertices(*_SECOND_ROOT_ONLY) == [
+        (Point(0.3782243651083358, -0.08454377930734157), 0.13540878888252586)]
+    # The same triple after a regular one, and twice in one chunk.
+    lead = [Disk(Point(0.0, 0.0), 0.1), Disk(Point(1.0, 0.0), 0.2), Disk(Point(0.3, 0.8), 0.15)]
+    both = np.array([[d.center.x, d.center.y, d.radius] for d in lead + _SECOND_ROOT_ONLY]).T
+    idx = np.array([[0, 3, 3], [1, 4, 4], [2, 5, 5]])
+    x, y, r = _solve_triples(idx, both)
+    alone = _solve_triples(idx[:, :1], both)
+    assert x.size == alone.shape[1] + 2
+    assert (x[-2:] == 0.3782243651083358).all() and (y[-2:] == -0.08454377930734157).all()
+    assert (r[-2:] == 0.13540878888252586).all()
+
+
+def test_seeds_keep_only_roots_of_the_right_sign():
+    """No candidate leaving ``_seeds`` has rho_k + r < -|x - c_k| / 2 - TOL
+    at a disk of its triple, and on random triples roughly half of the
+    squared system's roots, those of the wrong sign, are dropped: the seeds
+    left nearly all have (rho_k + r) / |x - c_k| near +1."""
+    rng = np.random.default_rng(99)
+    m = 40
+    disks = np.stack([rng.uniform(-1, 1, m), rng.uniform(-1, 1, m), rng.uniform(0, 0.3, m)])
+    idx = np.array(list(combinations(range(m), 3))).T
+    slot, xyr = _seeds(idx, disks)
+    assert slot.size > 0 and (np.diff(slot) > 0).all()
+    ratio = []
+    for k in idx[:, slot // 2]:
+        gap = np.hypot(xyr[0] - disks[0, k], xyr[1] - disks[1, k])
+        assert (disks[2, k] + xyr[2] >= -0.5 * gap - TOL).all()
+        ratio.append((disks[2, k] + xyr[2]) / gap)
+    assert np.mean(np.abs(np.array(ratio) - 1.0) <= 1e-6) >= 0.999
+    assert slot.size < 1.25 * np.unique(slot // 2).size
 
 
 def test_is_global_vertex():

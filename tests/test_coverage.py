@@ -359,3 +359,36 @@ def test_per_pair_view_matches_dict_fan_out(kind, rho, radius):
         assert key not in view
     with pytest.raises(TypeError):
         view[(0, 0)] = 0.0
+
+
+def _worst_witness_designs():
+    """Eight seeded random designs, n = 5 to 9 pupils with centers in
+    [-1, 1]^2 and radii at most 0.15 (uncovered), and the six g = 4
+    lattices."""
+    rng = np.random.default_rng(2718)
+    cases = []
+    for k, n in enumerate((5, 6, 7, 8, 9, 7, 8, 9)):
+        pupils = [Pupil(Point(float(x), float(y)), float(r))
+                  for x, y, r in zip(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
+                                     rng.uniform(0, 0.15, n))]
+        cases.append(pytest.param(PupilConfig(pupils, 1.0), id=f"random n={n} #{k}"))
+    cases += [pytest.param(g4_lattice(kind, rho, radius), id=f"{kind} rho={rho:.4f}")
+              for kind, rho, radius in _G4_LATTICES]
+    return cases
+
+
+@pytest.mark.parametrize("cfg", _worst_witness_designs())
+def test_worst_witness_is_first_row_within_tie_of_maximum(cfg):
+    """The worst value is the largest row value, and the worst point is the
+    first row, in table order, whose value is within 1e-12 of it, so rows
+    that tie up to their last bits (the mirror witnesses w and -w) cannot
+    swap the witness.  ``decide`` reads the same point off the cell pass."""
+    an = build_analysis(cfg)
+    centers, radii = an.acs.centers, an.acs.radii
+    values = np.hypot(an.xy[:, 0] - centers[an.owner, 0],
+                      an.xy[:, 1] - centers[an.owner, 1]) - radii[an.owner]
+    assert an.worst_value == values.max()
+    first = int(np.flatnonzero(values >= values.max() - 1e-12)[0])
+    assert an.worst_point == Point(float(an.xy[first, 0]), float(an.xy[first, 1]))
+    assert decide(cfg) == an.decision()
+    assert alpha_star(cfg) == an.worst_value

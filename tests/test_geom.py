@@ -255,3 +255,96 @@ def test_config_validation():
     cfg = PupilConfig([Pupil(Point(0, 0), 0.1)], 1.0)
     assert cfg.with_radii([0.2]).radii == (0.2,)
     assert cfg.enlarged(0.05).radii == (pytest.approx(0.15),)
+
+
+def _pupils(rows):
+    return [Pupil(Point(float(x), float(y)), float(r)) for x, y, r in rows]
+
+
+def test_config_equality_and_hash_follow_the_pupil_tuples():
+    """Equality and hashing are those of the (pupils, objective radius)
+    tuples that configurations held as ``Pupil`` objects: 0.0 equals -0.0,
+    and equal configurations hash alike."""
+    rows = [(0.0, 0.5, 0.1), (-0.3, 0.0, 0.2), (0.25, -0.75, 0.0)]
+    a = PupilConfig(_pupils(rows), 1.0)
+    signed = PupilConfig(_pupils([(-0.0, 0.5, 0.1), (-0.3, -0.0, 0.2), (0.25, -0.75, -0.0)]), 1.0)
+    others = [signed, PupilConfig(_pupils(rows), 2.0), PupilConfig(_pupils(rows[:2]), 1.0),
+              PupilConfig(_pupils(rows[::-1]), 1.0), a.with_radii([0.1, 0.2, 1e-300])]
+    for b in [a] + others:
+        assert (a == b) == ((a.pupils, a.objective_radius) == (b.pupils, b.objective_radius))
+        if a == b:
+            assert hash(a) == hash(b)
+    assert a == signed and hash(a) == hash(signed)
+    assert sum(a == b for b in others) == 1
+    assert a != rows and a != None  # noqa: E711
+    assert len({a, signed, PupilConfig(a.pupils, 1.0)}) == 1
+
+
+def test_config_is_one_read_only_array():
+    cfg = PupilConfig(_pupils([(0.0, 0.5, 0.1), (-0.3, 0.0, 0.2)]), 1.0)
+    assert cfg.xyr.shape == (2, 3) and cfg.xyr.dtype == np.float64
+    assert cfg.xyr.tolist() == [[0.0, 0.5, 0.1], [-0.3, 0.0, 0.2]]
+    for made in (cfg, cfg.with_radii([0.3, 0.4]), cfg.with_centers(cfg.centers), cfg.enlarged(0.1)):
+        with pytest.raises(ValueError, match="read-only"):
+            made.xyr[0, 2] = 0.5
+    for name in ("xyr", "objective_radius", "pupils"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, None)
+    assert cfg.xyr[0, 2] == 0.1 and cfg.objective_radius == 1.0
+
+
+def test_config_errors_keep_their_messages():
+    cfg = PupilConfig(_pupils([(0.0, 0.5, 0.1), (-0.3, 0.0, 0.2)]), 1.0)
+    with pytest.raises(ValueError, match=r"^non-finite point \(nan, 0.0\)$"):
+        PupilConfig([Pupil(Point(float("nan"), 0.0), 0.1)], 1.0)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"^invalid pupil radius {bad}$"):
+            PupilConfig([Pupil(Point(0.0, 0.0), bad)], 1.0)
+        with pytest.raises(ValueError, match=rf"^invalid pupil radius {bad}$"):
+            cfg.with_radii([0.1, bad])
+    too_large = "^pupil centers or radii too large: the difference disks overflow$"
+    with pytest.raises(ValueError, match=too_large):
+        cfg.with_radii([1e308, 0.1])
+    with pytest.raises(ValueError, match=too_large):
+        cfg.with_centers([Point(-1e308, 0.0), Point(1e308, 0.0)])
+    with pytest.raises(ValueError, match="^radius count does not match pupil count$"):
+        cfg.with_radii([0.1])
+    with pytest.raises(ValueError, match="^center count does not match pupil count$"):
+        cfg.with_centers([Point(0.0, 0.0)])
+    with pytest.raises(ValueError, match="^objective radius must be positive, got -1$"):
+        PupilConfig(cfg.pupils, -1)
+
+
+def test_config_round_trips(rng):
+    cfg = random_config(rng, 7)
+    assert PupilConfig(cfg.pupils, cfg.objective_radius) == cfg
+    assert cfg.with_radii(cfg.radii) == cfg
+    assert cfg.with_centers(cfg.centers) == cfg
+    radii = tuple(rng.uniform(0.0, 0.3, 7).tolist())
+    centers = tuple(Point(float(x), float(y)) for x, y in rng.uniform(-1.0, 1.0, (7, 2)))
+    moved = cfg.with_radii(radii).with_centers(centers)
+    assert moved.radii == radii and moved.centers == centers
+    assert moved.pupils == tuple(Pupil(c, r) for c, r in zip(centers, radii))
+    assert all(type(r) is float for r in moved.radii)
+    assert moved.with_radii(cfg.radii).with_centers(cfg.centers) == cfg
+    assert eval(repr(cfg), {"PupilConfig": PupilConfig, "Pupil": Pupil, "Point": Point}) == cfg
+
+
+def test_config_keeps_fewer_bytes_than_pupil_objects():
+    """A 9-pupil configuration keeps less than half the bytes that its
+    pupils took as a tuple of ``Pupil`` and ``Point`` objects with their
+    floats, measured under tracemalloc over 50 configurations."""
+    import tracemalloc
+    rows = np.random.default_rng(5).uniform(0.0, 0.1, (50, 9, 3))
+    PupilConfig(_pupils(rows[0]), 1.0)
+    tracemalloc.start()
+    try:
+        held = [tuple(_pupils(r)) for r in rows]
+        objects = tracemalloc.get_traced_memory()[0]
+        del held
+        tracemalloc.clear_traces()
+        held = [PupilConfig(_pupils(r), 1.0) for r in rows]
+        arrays = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert arrays < 0.5 * objects, (arrays, objects)
