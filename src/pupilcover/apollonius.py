@@ -18,8 +18,9 @@ which keep only the roots of the squared system tangent to all three disks
 the right way (rho_k + r = +|x - c_k|, not -|x - c_k|; Emiris & Karavelas,
 "The predicates of the Apollonius diagram", CGTA 2006) and whose
 temporaries are freed before a Newton polish that gathers the disks of its
-still-moving candidates by index at every step (``_polish``), then a running
-global-minimum test over the masked disks.  Every stage is
+still-moving candidates by index at every step and stops beyond the
+objective at a residual relative to the root's norm (``_polish``), then a
+running global-minimum test over the masked disks.  Every stage is
 elementwise per triple or per candidate and keeps the candidate order, so
 the chunk size changes no bit of the table.  The rim stage is exact: a
 coarse angle grid drops, by the same Lipschitz bound, the pairs whose disks
@@ -41,7 +42,10 @@ evaluating F at the new centers, three times.  The disks within twice the
 last half-diagonal (plus slack and band) of the minimum at a kept center are
 the ones ``_witness_table`` then runs on: in the kept cells its rows are
 those of the full table, so the rows of largest value are too, and the work
-follows the kept disks.  ``vertex_sets`` is a per-disk view of the table.  The
+follows the kept disks.  The largest bound of a level holds F over the whole
+objective, so once it lies below minus those tolerances the pass can stop
+and report coverage, with no witness table at all.  ``vertex_sets`` is a
+per-disk view of the table.  The
 triple stage is the package's one equal-distance solver:
 ``tri_disk_vertices`` is its view of a single triple.
 """
@@ -277,10 +281,12 @@ def _live_disks_and_minima(centers: np.ndarray, radii: np.ndarray,
     return cand[near], low
 
 
-def _peak_cells(centers: np.ndarray, radii: np.ndarray, radius: float):
+def _peak_cells(centers: np.ndarray, radii: np.ndarray, radius: float,
+                stop_if_covered: bool = False):
     """The cell pass of the worst witness: the disks that can own a witness
     of largest additive distance, and a test for the points of the cells
-    that can hold one.
+    that can hold one; or, with ``stop_if_covered``, None as soon as the
+    cells prove every witness value negative.
 
     F(x) = min_k delta_k(x) is 1-Lipschitz, so over a cell with center q and
     half-diagonal h it stays below F(q) + h.  Starting from the cells of
@@ -299,6 +305,16 @@ def _peak_cells(centers: np.ndarray, radii: np.ndarray, radius: float):
     table built on them has there the rows of the table built on all disks,
     bit for bit.
 
+    The largest bound max(F(q) + h) over the cells within reach at a level
+    bounds F over the disk of radius + TOL.  A dropped cell fell short of
+    the best center of its level by the margin.  The best center of all
+    levels so far lies at a corner of one cell of each later level, whose
+    bound is at least its value, so that cell is kept and the largest bound
+    at that level is at least the value of every earlier best center.  Every
+    witness row's value is at most F at its point plus TOL, so a level whose
+    bound lies below -margin proves coverage, and ``stop_if_covered`` then
+    returns None without further levels.
+
     Returns the kept disks' indices, ascending, and a function that maps
     points (k, 2) to the mask of those in a kept cell (by an integer cell
     lookup, with 1e-12 of play at the cell edges)."""
@@ -316,8 +332,11 @@ def _peak_cells(centers: np.ndarray, radii: np.ndarray, radius: float):
         if level:
             f = np.concatenate([d.min(axis=1) for _, d in _distances(qx, qy, cx, cy, rho)])
         norm, half = np.hypot(qx, qy), step / math.sqrt(2.0)
+        within = norm <= reach + half
+        if stop_if_covered and f[within].max(initial=-math.inf) + half < -margin:
+            return None
         top = f[norm <= radius].max(initial=-math.inf)
-        keep = (f + half >= top - margin) & (norm <= reach + half)
+        keep = (f + half >= top - margin) & within
         ix, iy, qx, qy = ix[keep], iy[keep], qx[keep], qy[keep]
     near = _near_disks(qx, qy, cx, cy, rho, 2.0 * half + _SLACK + 2.0 * _PEAK_BAND)[0]
 
@@ -436,12 +455,13 @@ def _seeds(idx, disks):
     return slot[real], xyr[:, real]
 
 
-def _newton_step(p, k, disks):
+def _newton_step(p, k, disks, reach):
     """One step of ``_polish`` on the candidates ``p`` (3, candidates) with
-    disk indices ``k``.  Returns the stepped candidates, the mask of those
-    that had converged off the centers, and the mask of those that keep
-    moving: not converged, on no center, with a regular Jacobian and a
-    finite step."""
+    disk indices ``k``.  A candidate has converged when its residual is at
+    most 1e-13 max(1, |x| / reach).  Returns the stepped candidates, the
+    mask of those that had converged off the centers, and the mask of those
+    that keep moving: not converged, on no center, with a regular Jacobian
+    and a finite step."""
     # The masks are rows of one array of eight rows, the size of one float
     # per candidate: numpy keeps a few freed blocks of each size under 1 KB
     # for reuse, and masks of their own would hold one for every count.
@@ -454,7 +474,11 @@ def _newton_step(p, k, disks):
     u = np.divide(d, ds, out=d)
     f = np.subtract(ds, disks[2, k], out=ds)
     f -= p[2]
-    np.less_equal(np.abs(f).max(axis=0), 1e-13, out=conv)
+    lim = np.hypot(p[0], p[1])
+    lim /= reach
+    np.maximum(lim, 1.0, out=lim)
+    lim *= 1e-13
+    np.less_equal(np.abs(f).max(axis=0), lim, out=conv)
     # In place below the first rows: du = u[:, 1:] - u[:, 0], g = f[1:] - f[0].
     u[:, 1:] -= u[:, :1]
     f[1:] -= f[0]
@@ -478,21 +502,25 @@ def _newton_step(p, k, disks):
     return p, done, go
 
 
-def _polish(xyr, k, disks):
+def _polish(xyr, k, disks, reach):
     """Newton on |x - c_k| - rho_k - r = 0 for the candidates (x, y, r), the
     columns of ``xyr``, each with the three disks of its column of ``k``
     (indices into ``disks``, rows x, y and radius).  A step gathers the disks
     of the moving candidates only and solves the 3x3 Jacobian system in
     closed form, reduced to 2x2 by subtracting the first row.  A candidate
     that meets a center, a singular Jacobian or a non-finite step (a spurious
-    root of the squared system) is dropped.  Writes the polished values into
-    ``xyr`` and returns the mask of candidates that converged."""
+    root of the squared system) is dropped.  Within ``reach`` of the origin
+    a candidate stops at residual 1e-13; beyond it the residual is relative
+    to |x| / reach, since such a root is no witness and an absolute 1e-13
+    lies below the rounding of a root thousands of radii out.  Writes the
+    polished values into ``xyr`` and returns the mask of candidates that
+    converged."""
     keep = np.zeros(xyr.shape[1], dtype=bool)
     live = np.arange(xyr.shape[1])
     p = xyr
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_STEPS):
-            p, done, go = _newton_step(p, k, disks)
+            p, done, go = _newton_step(p, k, disks, reach)
             keep[live[done]] = True
             p, k, live = p[:, go], k[:, go], live[go]
             if live.size == 0:
@@ -504,13 +532,14 @@ def _polish(xyr, k, disks):
     return keep
 
 
-def _solve_triples(idx, disks):
+def _solve_triples(idx, disks, reach):
     """The equal-distance points of each triple of one chunk ``idx`` (3,
     triples) of ``disks`` (3, m: x, y and radius rows), seeded by ``_seeds``
-    and polished by ``_polish``.  Returns their (x, y, r), a (3, solutions)
-    array in triple order, duplicates within a triple removed."""
+    and polished by ``_polish`` with the stopping rule of ``reach``.
+    Returns their (x, y, r), a (3, solutions) array in triple order,
+    duplicates within a triple removed."""
     slot, xyr = _seeds(idx, disks)
-    keep = _polish(xyr, idx[:, slot // 2], disks)
+    keep = _polish(xyr, idx[:, slot // 2], disks, reach)
 
     # A larger-lam root that polishes onto the smaller-lam root of its own
     # triple is the same solution.  Either root may have been dropped by the
@@ -536,7 +565,7 @@ def tri_disk_vertices(d1: Disk, d2: Disk, d3: Disk) -> list[tuple[Point, float]]
     idx = np.arange(3)[:, None]
     if not _null_lines(disks[:, idx])[2][0]:
         raise DegenerateTriple("rank-deficient equal-distance system")
-    x, y, r = _solve_triples(idx, disks).tolist()
+    x, y, r = _solve_triples(idx, disks, math.inf).tolist()
     return [(Point(px, py), pr) for pr, px, py in sorted(zip(r, x, y))]
 
 
@@ -549,7 +578,7 @@ def _interior_vertices(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ok: np.n
     disks = np.stack([cx, cy, rho])
     found = [np.empty((2, 0))]
     for idx in _triples(ok):
-        sol = _solve_triples(idx, disks)
+        sol = _solve_triples(idx, disks, radius + TOL)
         x, y, r = sol
         keep = np.flatnonzero(np.hypot(x, y) <= radius + TOL)
         # Running global-minimum test, one disk at a time, until the

@@ -25,11 +25,18 @@ witness there, and the witness table of those disks, restricted to the kept
 cells, holds bit for bit the full table's rows within the cell pass's band
 (1e-7, far wider than 1e-12) of the largest value (``_worst_witness``).  So
 their answers equal ``build_analysis``'s, and their cost follows the region
-near the maximum rather than the number of disk triples.  The per-pair
-enlargements (``per_disk_alpha``, ``CoverageReport.per_disk_alpha``) are a
-read-only mapping, ``PairValues``, from every (i, j) to its disk's value; it
-holds the ACS's pair-to-disk index ``Acs.pair_disk`` and
-``Analysis.disk_alpha``.
+near the maximum rather than the number of disk triples.  ``decide`` stops
+earlier on covered designs: the cell bounds F(q) + h of one level hold the
+minimal additive distance over the whole objective, and once they lie below
+-(TOL + 2e-9 + 1e-7) no witness row can exceed TOL, so it answers covered
+without any witness table (Shubert, SIAM J. Numer. Anal. 1972).  The prime
+designs are decided so, on their first grid.  ``max_objective`` intersects
+the circles of all disk pairs in numpy chunks and tests the corners below
+the best norm so far in ascending norm, by blocks of additive distances.
+The per-pair enlargements (``per_disk_alpha``,
+``CoverageReport.per_disk_alpha``) are a read-only mapping, ``PairValues``,
+from every (i, j) to its disk's value; it holds the ACS's pair-to-disk index
+``Acs.pair_disk`` and ``Analysis.disk_alpha``.
 """
 
 from __future__ import annotations
@@ -41,9 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apollonius import (BOUNDARY_CROSSING, INTERIOR_VERTEX, _first_copies, _owner_pairs,
-                         _peak_cells, _witness_table)
-from .geom import TOL, Acs, Point, PupilConfig, build_acs, delta_min
+from .apollonius import (_OWNER_CELLS, BOUNDARY_CROSSING, INTERIOR_VERTEX, _distances,
+                         _first_copies, _owner_pairs, _peak_cells, _witness_table)
+from .geom import TOL, Acs, Point, PupilConfig, build_acs
 
 
 class NoCoverage(ValueError):
@@ -215,14 +222,20 @@ def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None) -> Analysis:
     return Analysis(cfg, acs, xy, owner, kind, disk_alpha, *_worst(xy, values))
 
 
-def _worst_witness(cfg: PupilConfig) -> tuple[float, Point | None]:
+def _worst_witness(cfg: PupilConfig,
+                   stop_if_covered: bool = False) -> tuple[float, Point | None] | None:
     """``build_analysis(cfg)``'s ``worst_value`` and ``worst_point``, from
     the rows that the cell pass ``apollonius._peak_cells`` keeps: the same
     assembly on the witness table of the disks that can reach the maximum,
-    restricted to the kept cells, where its rows are the full table's."""
+    restricted to the kept cells, where its rows are the full table's.  With
+    ``stop_if_covered``, None when the cell pass's bounds prove every row
+    negative, before any witness table is built."""
     acs = build_acs(cfg)
     radius = cfg.objective_radius
-    disks, in_kept = _peak_cells(acs.centers, acs.radii, radius)
+    peak = _peak_cells(acs.centers, acs.radii, radius, stop_if_covered)
+    if peak is None:
+        return None
+    disks, in_kept = peak
     xy, _, _, values = _rows(acs, radius, *_witness_table(acs, radius, disks))
     keep = in_kept(xy)
     return _worst(xy[keep], values[keep])
@@ -233,13 +246,18 @@ def decide(cfg: PupilConfig) -> tuple[bool, Point | None]:
 
     Returns (covered, witness).  When the answer is negative the witness is
     the uncovered point of largest additive distance, ``build_analysis``'s
-    worst point, found by the cell pass of ``_worst_witness``.  A pupil of
-    radius at least half the objective's makes its own difference disk
-    cover the objective, which short-circuits the computation."""
+    worst point, found by the cell pass of ``_worst_witness``.  A covered
+    answer often needs no witness at all: once a level of the cell pass
+    bounds the minimal additive distance below -(TOL + 2e-9 + 1e-7) over
+    the whole objective, no witness row can exceed TOL.  A pupil of radius
+    at least half the objective's makes its own difference disk cover the
+    objective, which short-circuits the computation."""
     if _covers_trivially(cfg):
         return True, None
-    value, point = _worst_witness(cfg)
-    return (True, None) if value <= TOL else (False, point)
+    worst = _worst_witness(cfg, stop_if_covered=True)
+    if worst is None or worst[0] <= TOL:
+        return True, None
+    return False, worst[1]
 
 
 def coverage_oracle(cfg: PupilConfig, resolution: int) -> tuple[bool, Point | None]:
@@ -297,28 +315,6 @@ def per_disk_alpha(cfg: PupilConfig) -> PairValues:
     return build_analysis(cfg).per_pair()
 
 
-def _circle_intersections(c1: Point, r1: float, c2: Point, r2: float) -> list[Point]:
-    d = c1.distance_to(c2)
-    if d <= 1e-15:
-        return []
-    if d > r1 + r2 or d < abs(r1 - r2):
-        return []
-    a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-    h2 = r1 * r1 - a * a
-    if h2 < 0:
-        if h2 < -1e-12 * max(1.0, r1 * r1):
-            return []
-        h2 = 0.0
-    h = math.sqrt(h2)
-    mx = c1.x + a * (c2.x - c1.x) / d
-    my = c1.y + a * (c2.y - c1.y) / d
-    ox = h * (c2.y - c1.y) / d
-    oy = h * (c2.x - c1.x) / d
-    if h <= 1e-15:
-        return [Point(mx, my)]
-    return [Point(mx + ox, my - oy), Point(mx - ox, my + oy)]
-
-
 def _exposed(centers: np.ndarray, radii: np.ndarray, pt: Point) -> bool:
     """Whether points arbitrarily close to ``pt``, a boundary point covered
     to within ``TOL``, escape every disk through it: the inward normals of
@@ -334,6 +330,48 @@ def _exposed(centers: np.ndarray, radii: np.ndarray, pt: Point) -> bool:
     return max(gaps) >= math.pi - 1e-9
 
 
+def _corners(centers: np.ndarray, radii: np.ndarray):
+    """The intersection points of the circles of every disk pair a < b, one
+    of them with a radius above ``TOL``, for chunks of the rows a of at most
+    ``_OWNER_CELLS`` pairs: (x, y) per chunk.  Coincident centers, nested
+    and apart circles do not meet; a squared half-chord down to -1e-12
+    max(1, r_a^2) counts as zero, and a half-chord up to 1e-15 gives the one
+    point of tangency."""
+    m = radii.size
+    rows = max(1, _OWNER_CELLS // max(1, m))
+    for s in range(0, m, rows):
+        a, b = np.nonzero(np.arange(s, min(s + rows, m))[:, None] < np.arange(m))
+        a += s
+        ra, rb = radii[a], radii[b]
+        dx, dy = centers[b, 0] - centers[a, 0], centers[b, 1] - centers[a, 1]
+        d = np.hypot(dx, dy)
+        meet = ((ra > TOL) | (rb > TOL)) & (d > 1e-15) & (d <= ra + rb) & (d >= np.abs(ra - rb))
+        a, ra, rb, dx, dy, d = a[meet], ra[meet], rb[meet], dx[meet], dy[meet], d[meet]
+        along = (ra * ra - rb * rb + d * d) / (2.0 * d)
+        h2 = ra * ra - along * along
+        meet = h2 >= -1e-12 * np.maximum(1.0, ra * ra)
+        h = np.sqrt(np.maximum(h2[meet], 0.0))
+        a, along, dx, dy, d = a[meet], along[meet], dx[meet], dy[meet], d[meet]
+        mx = centers[a, 0] + along * dx / d
+        my = centers[a, 1] + along * dy / d
+        two = h > 1e-15
+        h[~two] = 0.0
+        ox, oy = h * dy / d, h * dx / d
+        yield (np.concatenate([mx + ox, (mx - ox)[two]]),
+               np.concatenate([my - oy, (my + oy)[two]]))
+
+
+def _first_corner(centers: np.ndarray, radii: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """The norm of the first of the points (x, y) that no disk strictly
+    covers (within ``TOL``) and that ``_exposed`` finds exposed, or inf."""
+    for s, d in _distances(x, y, centers[:, 0], centers[:, 1], radii):
+        for i in np.flatnonzero(d.min(axis=1) >= -TOL).tolist():
+            pt = Point(float(x[s + i]), float(y[s + i]))
+            if _exposed(centers, radii, pt):
+                return pt.norm()
+    return math.inf
+
+
 def max_objective(cfg: PupilConfig, *, acs: Acs | None = None) -> float:
     """Largest objective radius the fixed configuration covers.
 
@@ -343,40 +381,29 @@ def max_objective(cfg: PupilConfig, *, acs: Acs | None = None) -> float:
     other radius, so containment is an exact test.  Otherwise the answer is
     the smallest norm among pairwise circle intersection points that no disk
     strictly covers and that the disks through them leave exposed (the
-    corners of the union boundary).  ``acs`` is the configuration's ACS
-    when the caller has built it."""
+    corners of the union boundary).  The corners of each chunk of pairs
+    below the best norm so far are tested in ascending norm, by blocks of
+    additive distances, and ``_exposed`` runs only on those no disk covers,
+    until one is exposed.  ``acs`` is the configuration's ACS when the
+    caller has built it."""
     acs = build_acs(cfg) if acs is None else acs
-    centers = acs.centers
-    radii = acs.radii
+    centers, radii = acs.centers, acs.radii
     k0 = int(acs.pair_disk[0, 0])
     r0 = float(radii[k0])
 
-    contained = True
-    for k in range(acs.size):
-        if k == k0:
-            continue
-        reach = abs(math.hypot(centers[k, 0], centers[k, 1]) - r0) - radii[k]
-        if reach < -TOL:
-            contained = False
-            break
-    if contained:
+    reach = np.abs(np.hypot(centers[:, 0], centers[:, 1]) - r0) - radii
+    reach[k0] = math.inf
+    if not (reach < -TOL).any():
         if r0 <= TOL:
             raise NoCoverage("the difference disks have empty interior at the origin")
         return r0
 
-    points = [Point(x, y) for x, y in centers.tolist()]
     best = math.inf
-    for a in range(acs.size):
-        for b in range(a + 1, acs.size):
-            if radii[a] <= TOL and radii[b] <= TOL:
-                continue
-            for pt in _circle_intersections(points[a], float(radii[a]),
-                                            points[b], float(radii[b])):
-                if pt.norm() >= best:
-                    continue
-                dmin, _ = delta_min(acs, pt)
-                if dmin >= -TOL and _exposed(centers, radii, pt):
-                    best = pt.norm()
+    for x, y in _corners(centers, radii):
+        norm = np.hypot(x, y)
+        below = np.flatnonzero(norm < best)
+        below = below[np.argsort(norm[below], kind="stable")]
+        best = min(best, _first_corner(centers, radii, x[below], y[below]))
     if not math.isfinite(best):
         # No exposed corner: the union boundary near the origin is the origin
         # disk's own circle, so its radius is the answer.

@@ -1,17 +1,27 @@
-"""The scalar equal-distance solve of three disks, one triple at a time: a
-closed form in plain floats and a Newton polish with Cramer's rule.  It
-shares only ``TOL`` and the polish's stopping constants with the batched
-triple stage of ``pupilcover.apollonius``, the package's one solver, so the
-tests use it as their independent reference for that stage and for
-``tri_disk_vertices``, its one-triple view.
+"""Independent references for the tests.
+
+- The scalar equal-distance solve of three disks, one triple at a time: a
+  closed form in plain floats and a Newton polish with Cramer's rule.  It
+  shares only ``TOL`` and the polish's stopping constants with the batched
+  triple stage of ``pupilcover.apollonius``, the package's one solver, so
+  the tests use it as their reference for that stage and for
+  ``tri_disk_vertices``, its one-triple view.
+- The scalar corner loop of ``max_objective``: every pair of circles
+  intersected in plain floats, and each intersection point below the best
+  norm so far tested with ``delta_min`` and ``_exposed``.
+- Two-sided bounds on alpha*, the largest minimal additive distance over
+  the objective, by Piyavskii-Shubert branch and bound over square cells.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from pupilcover.apollonius import _FINAL_RESIDUAL, _NEWTON_STEPS, DegenerateTriple
-from pupilcover.geom import TOL, Disk, Point
+from pupilcover.coverage import NoCoverage, _exposed
+from pupilcover.geom import TOL, Acs, Disk, Point, PupilConfig, build_acs, delta_min
 
 
 def _polish_vertex(x: float, y: float, r: float, cs, rs) -> tuple[float, float, float] | None:
@@ -127,3 +137,119 @@ def tri_disk_vertices(d1: Disk, d2: Disk, d3: Disk) -> list[tuple[Point, float]]
         out.append((Point(x, y), r))
     out.sort(key=lambda pr: (pr[1], pr[0].x, pr[0].y))
     return out
+
+
+def _circle_intersections(c1: Point, r1: float, c2: Point, r2: float) -> list[Point]:
+    d = c1.distance_to(c2)
+    if d <= 1e-15:
+        return []
+    if d > r1 + r2 or d < abs(r1 - r2):
+        return []
+    a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+    h2 = r1 * r1 - a * a
+    if h2 < 0:
+        if h2 < -1e-12 * max(1.0, r1 * r1):
+            return []
+        h2 = 0.0
+    h = math.sqrt(h2)
+    mx = c1.x + a * (c2.x - c1.x) / d
+    my = c1.y + a * (c2.y - c1.y) / d
+    ox = h * (c2.y - c1.y) / d
+    oy = h * (c2.x - c1.x) / d
+    if h <= 1e-15:
+        return [Point(mx, my)]
+    return [Point(mx + ox, my - oy), Point(mx - ox, my + oy)]
+
+
+def max_objective(cfg: PupilConfig, *, acs: Acs | None = None) -> float:
+    """Largest objective radius the fixed configuration covers.
+
+    If the origin-centered disk is contained in its own cell the answer is
+    its radius (2 * max pupil radius): the minimum of another disk's additive
+    distance over that circle has the closed form |center norm - radius| -
+    other radius, so containment is an exact test.  Otherwise the answer is
+    the smallest norm among pairwise circle intersection points that no disk
+    strictly covers and that the disks through them leave exposed (the
+    corners of the union boundary).  ``acs`` is the configuration's ACS
+    when the caller has built it."""
+    acs = build_acs(cfg) if acs is None else acs
+    centers = acs.centers
+    radii = acs.radii
+    k0 = int(acs.pair_disk[0, 0])
+    r0 = float(radii[k0])
+
+    contained = True
+    for k in range(acs.size):
+        if k == k0:
+            continue
+        reach = abs(math.hypot(centers[k, 0], centers[k, 1]) - r0) - radii[k]
+        if reach < -TOL:
+            contained = False
+            break
+    if contained:
+        if r0 <= TOL:
+            raise NoCoverage("the difference disks have empty interior at the origin")
+        return r0
+
+    points = [Point(x, y) for x, y in centers.tolist()]
+    best = math.inf
+    for a in range(acs.size):
+        for b in range(a + 1, acs.size):
+            if radii[a] <= TOL and radii[b] <= TOL:
+                continue
+            for pt in _circle_intersections(points[a], float(radii[a]),
+                                            points[b], float(radii[b])):
+                if pt.norm() >= best:
+                    continue
+                dmin, _ = delta_min(acs, pt)
+                if dmin >= -TOL and _exposed(centers, radii, pt):
+                    best = pt.norm()
+    if not math.isfinite(best):
+        # No exposed corner: the union boundary near the origin is the origin
+        # disk's own circle, so its radius is the answer.
+        best = r0
+    if best <= TOL:
+        raise NoCoverage("no objective of positive radius is covered")
+    return best
+
+
+def alpha_star_bounds(cfg: PupilConfig, width: float) -> tuple[float, float]:
+    """An interval [lb, ub] of width at most ``width`` that holds alpha*, the
+    largest value over the objective |x| <= R of F(x) = min_k delta_k(x),
+    by Piyavskii-Shubert branch and bound (Piyavskii 1972; Shubert, SIAM J.
+    Numer. Anal. 1972) over square cells, starting from [-R, R]^2.
+
+    The lower bound is the largest F at a cell center pulled onto the
+    objective.  Over a cell meeting the objective, delta_k is at most the
+    distance from c_k to the cell's farthest corner, and at most |c_k| + R,
+    minus rho_k; F is at most the smallest of these.  A cell whose bound is
+    within ``width`` of the lower bound so far is settled, the others split
+    into four.  The cap |c_k| + R is exact on the rim arcs where an
+    origin-centered disk is the minimum, which have constant F."""
+    acs = build_acs(cfg)
+    radius = cfg.objective_radius
+    cx, cy, rho = acs.centers[:, 0], acs.centers[:, 1], acs.radii
+    cap = np.hypot(cx, cy) + radius - rho
+    qx, qy, half = np.zeros(1), np.zeros(1), radius
+    lb = ub = -math.inf
+    while qx.size:
+        norm = np.hypot(qx, qy)
+        pull = np.minimum(1.0, radius / np.maximum(norm, 1e-300))
+        px, py = qx * pull, qy * pull
+        low = np.empty(qx.size)
+        bound = np.empty(qx.size)
+        for s in range(0, qx.size, 512):
+            c = slice(s, s + 512)
+            low[c] = (np.hypot(px[c, None] - cx, py[c, None] - cy) - rho).min(axis=1)
+            far = np.hypot(np.abs(qx[c, None] - cx) + half, np.abs(qy[c, None] - cy) + half) - rho
+            bound[c] = np.minimum(far, cap).min(axis=1)
+        lb = max(lb, float(low.max()))
+        gap = np.hypot(np.maximum(np.abs(qx) - half, 0.0), np.maximum(np.abs(qy) - half, 0.0))
+        bound[gap > radius] = -math.inf
+        settle = bound <= lb + width
+        ub = max(ub, float(bound[settle].max(initial=-math.inf)))
+        split = ~settle
+        half /= 2.0
+        qx = (qx[split, None] + half * np.array([-1.0, 1.0, -1.0, 1.0])).ravel()
+        qy = (qy[split, None] + half * np.array([-1.0, -1.0, 1.0, 1.0])).ravel()
+    return lb, max(lb, ub)

@@ -303,8 +303,8 @@ def test_triple_with_only_its_second_root_real():
     lead = [Disk(Point(0.0, 0.0), 0.1), Disk(Point(1.0, 0.0), 0.2), Disk(Point(0.3, 0.8), 0.15)]
     both = np.array([[d.center.x, d.center.y, d.radius] for d in lead + _SECOND_ROOT_ONLY]).T
     idx = np.array([[0, 3, 3], [1, 4, 4], [2, 5, 5]])
-    x, y, r = _solve_triples(idx, both)
-    alone = _solve_triples(idx[:, :1], both)
+    x, y, r = _solve_triples(idx, both, math.inf)
+    alone = _solve_triples(idx[:, :1], both, math.inf)
     assert x.size == alone.shape[1] + 2
     assert (x[-2:] == 0.3782243651083358).all() and (y[-2:] == -0.08454377930734157).all()
     assert (r[-2:] == 0.13540878888252586).all()

@@ -20,8 +20,10 @@ from pupilcover import (
     per_disk_alpha,
     prime_design,
 )
-from pupilcover.coverage import build_analysis
+from pupilcover.coverage import _covers_trivially, build_analysis
 from tests.conftest import acs_disks, count_calls, g4_lattice, near_collinear_start, random_config
+from tests.reference import alpha_star_bounds
+from tests.reference import max_objective as reference_max_objective
 
 
 def two_pupil_example() -> PupilConfig:
@@ -392,3 +394,120 @@ def test_worst_witness_is_first_row_within_tie_of_maximum(cfg):
     assert an.worst_point == Point(float(an.xy[first, 0]), float(an.xy[first, 1]))
     assert decide(cfg) == an.decision()
     assert alpha_star(cfg) == an.worst_value
+
+
+def _covered_designs():
+    """Covered designs whose cell pass proves coverage: the two g = 4
+    lattices at 1.1x the covering radius (alpha* = -0.071 and -0.058), the
+    p = 2 prime design (alpha* = -0.707), and the uncovered seeded random
+    designs of the agreement test grown past alpha*/2 by 0.05 (pupil
+    radii), so that alpha* = -0.1, unless a pupil then covers alone."""
+    cases = [pytest.param(g4_lattice(kind, rho, radius), id=f"{kind} rho={rho:.4f}")
+             for kind, rho, radius in _G4_LATTICES[2::3]]
+    cases.append(pytest.param(prime_design(4.0, 1.0 / math.sqrt(2.0)).config, id="p = 2"))
+    for param in _agreement_designs()[:27]:
+        cfg = param.values[0]
+        worst = build_analysis(cfg).worst_value
+        grown = cfg.enlarged(worst / 2.0 + 0.05)
+        if worst > 0.0 and not _covers_trivially(grown):
+            cases.append(pytest.param(grown, id=f"{param.id} grown"))
+    return cases
+
+
+@pytest.mark.parametrize("cfg", _covered_designs())
+def test_decide_proves_coverage_without_a_witness_table(cfg, monkeypatch):
+    """Once a level of the cell pass bounds F(q) + h below -(TOL + 2e-9 +
+    1e-7) over every cell within reach, ``decide`` answers covered without
+    building any witness table, and the answer is ``build_analysis``'s.
+    Near alpha* = 0 (the designs grown to alpha*/2 and +-1e-9, the 1.0x
+    lattices) no level proves it, and
+    ``test_decide_and_alpha_star_match_the_analysis`` checks the answer."""
+    assert not _covers_trivially(cfg)
+    want = build_analysis(cfg).decision()
+    table_calls = count_calls(monkeypatch, "apollonius", "_witness_table")
+    assert decide(cfg) == want == (True, None)
+    assert table_calls == []
+
+
+def _bounded_designs():
+    """Designs of the two-sided check: eight seeded random designs (n = 1 to
+    8 pupils, centers in [-0.5, 0.5]^2, radii up to 0.15, 0.3 or 0.45), the
+    six g = 4 lattices and the p = 2 prime design."""
+    rng = np.random.default_rng(1972)
+    cases = []
+    for k in range(8):
+        n, cap = 1 + k, (0.15, 0.3, 0.45)[k % 3]
+        pupils = [Pupil(Point(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.5, 0.5))),
+                        float(rng.uniform(cap / 2.0, cap))) for _ in range(n)]
+        cases.append(pytest.param(PupilConfig(pupils, 1.0), id=f"random {k} n={n}"))
+    cases += [pytest.param(g4_lattice(kind, rho, radius), id=f"{kind} rho={rho:.4f}")
+              for kind, rho, radius in _G4_LATTICES]
+    cases.append(pytest.param(prime_design(4.0, 1.0 / math.sqrt(2.0)).config, id="p = 2"))
+    return cases
+
+
+@pytest.mark.parametrize("cfg", _bounded_designs())
+def test_alpha_star_lies_in_lipschitz_interval(cfg):
+    """An independent Piyavskii-Shubert refinement of the 1-Lipschitz
+    minimum F over the objective brackets alpha* in [lb, ub] of width at
+    most 1e-6; the witness analysis's worst value lies within 1e-9 of it,
+    so the witness set misses no higher point (ub) and claims none that F
+    does not reach (lb)."""
+    lb, ub = alpha_star_bounds(cfg, 1e-6)
+    assert ub - lb <= 1e-6
+    assert lb - 1e-9 <= build_analysis(cfg).worst_value <= ub + 1e-9
+
+
+def _corner_designs():
+    """Designs of the ``max_objective`` reference check: 16 seeded random
+    designs of 1 to 6 pupils (radii up to R/2, some with zero-radius pupils
+    that cover nothing), the two tangent lattices of
+    ``test_max_objective_tangent_lattice_corners_are_covered``, the designs
+    of acceptance 08 and the p = 2 prime design."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for k in range(16):
+        cfg = random_config(rng, 1 + k % 6)
+        if k % 5 == 0:
+            cfg = cfg.with_radii([0.0] * cfg.n)
+        elif k % 5 == 1:
+            cfg = cfg.with_radii([0.0] + list(cfg.radii[1:]))
+        cases.append(pytest.param(cfg, id=f"random {k} n={cfg.n}"))
+    cases += [pytest.param(g4_lattice("square", math.sqrt(2.0) / 4.0, 2.5), id="square tie"),
+              pytest.param(g4_lattice("triangular", 1.0 / (2.0 * math.sqrt(3.0)), 2.3),
+                           id="triangular tie"),
+              pytest.param(PupilConfig([Pupil(Point(0.3, -0.2), 0.37)], 1.0), id="acceptance 08 single")]
+    rng = np.random.default_rng(808)
+    for idx in range(20):
+        cfg = random_config(rng, int(rng.integers(2, 5)))
+        if max(cfg.radii) < 0.05:
+            cfg = cfg.with_radii([max(r, 0.05) for r in cfg.radii])
+        cases.append(pytest.param(cfg, id=f"acceptance 08 #{idx}"))
+    cases.append(pytest.param(prime_design(4.0, 1.0 / math.sqrt(2.0)).config, id="p = 2"))
+    return cases
+
+
+def _r_star(fn, cfg):
+    try:
+        return fn(cfg)
+    except NoCoverage:
+        return None
+
+
+@pytest.mark.parametrize("cfg", _corner_designs())
+def test_max_objective_matches_scalar_corner_loop(cfg):
+    """The batched corner search returns the scalar pair loop's r_star
+    within 1e-12, and raises ``NoCoverage`` exactly where it does."""
+    got, want = _r_star(max_objective, cfg), _r_star(reference_max_objective, cfg)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+def test_corner_designs_include_no_coverage_and_corners():
+    """The reference check above sees both ``NoCoverage`` and corner
+    answers other than the origin disk's radius."""
+    cfgs = [p.values[0] for p in _corner_designs()[:16]]
+    outcomes = [_r_star(reference_max_objective, cfg) for cfg in cfgs]
+    assert None in outcomes
+    assert any(r is not None and r != 2.0 * max(cfg.radii) for r, cfg in zip(outcomes, cfgs))
