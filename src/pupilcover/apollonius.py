@@ -59,7 +59,7 @@ from typing import Literal
 
 import numpy as np
 
-from .geom import TOL, Acs, Disk, Point, delta_min
+from .geom import TOL, Acs, Disk, Point, _first_copies, delta_min
 
 WitnessKind = Literal["interior_vertex", "boundary_crossing"]
 
@@ -767,29 +767,6 @@ class VertexSet:
 
     disk: int
     points: tuple[tuple[Point, WitnessKind], ...]
-
-
-def _first_copies(xy: np.ndarray, owner: np.ndarray, gap: float) -> np.ndarray:
-    """For each row of the points ``xy`` (k, 2), the row it is a copy of, or
-    itself: in row order, a row within ``gap`` in both coordinates of an
-    earlier kept row of the same owner is a copy of the first such row."""
-    # Rows of one owner within gap in x are a run of the (owner, x) order,
-    # so the close pairs are found lag by lag until a lag has none.
-    by_x = np.lexsort((xy[:, 0], owner))
-    sx, so = xy[by_x, 0], owner[by_x]
-    pairs = [np.empty((2, 0), dtype=np.intp)]
-    for lag in range(1, by_x.size):
-        close = np.flatnonzero((so[lag:] == so[:-lag]) & (sx[lag:] - sx[:-lag] <= gap))
-        if close.size == 0:
-            break
-        pairs.append(np.sort([by_x[close], by_x[close + lag]], axis=0))
-    a, b = np.concatenate(pairs, axis=1)
-    close = np.abs(xy[a, 1] - xy[b, 1]) <= gap
-    into = np.arange(owner.size)
-    for j, i in sorted(zip(b[close].tolist(), a[close].tolist())):
-        if into[j] == j and into[i] == i:
-            into[j] = i
-    return into
 
 
 def _witness_table(acs: Acs, radius: float,

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apollonius import (_OWNER_CELLS, BOUNDARY_CROSSING, INTERIOR_VERTEX, _distances,
-                         _first_copies, _owner_pairs, _peak_cells, _witness_table)
-from .geom import TOL, Acs, Point, PupilConfig, build_acs
+                         _owner_pairs, _peak_cells, _witness_table)
+from .geom import TOL, Acs, Point, PupilConfig, _first_copies, build_acs
 
 
 class NoCoverage(ValueError):
@@ -134,13 +134,13 @@ class Analysis:
 
     @property
     def covered(self) -> bool:
-        return self.worst_value <= TOL
+        """``decide``'s verdict: a pupil of radius at least half the
+        objective's, or no witness beyond TOL."""
+        return _covers_trivially(self.cfg) or self.worst_value <= TOL
 
     def decision(self) -> tuple[bool, Point | None]:
         """``decide``'s answer: (covered, uncovered witness or None)."""
-        if _covers_trivially(self.cfg) or self.covered:
-            return True, None
-        return False, self.worst_point
+        return (True, None) if self.covered else (False, self.worst_point)
 
     def per_pair(self) -> PairValues:
         """Each disk's value seen through every (i, j) label it absorbed,

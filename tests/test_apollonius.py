@@ -31,9 +31,10 @@ from pupilcover import (
     tri_disk_vertices,
     vertex_sets,
 )
-from pupilcover.apollonius import (BOUNDARY_CROSSING, INTERIOR_VERTEX, _first_copies, _live_disks,
-                                   _seeds, _solve_triples, _witness_table)
+from pupilcover.apollonius import (BOUNDARY_CROSSING, INTERIOR_VERTEX, _live_disks, _seeds,
+                                   _solve_triples, _witness_table)
 from pupilcover.coverage import build_analysis
+from pupilcover.geom import _first_copies
 from tests import reference
 from tests.conftest import acs_disks, acs_of_disks, g4_lattice, near_collinear_start
 from tests.test_coverage import _G4_LATTICES
@@ -793,6 +794,26 @@ def test_first_copies_compares_with_kept_rows_only():
     xy = np.array([[0.0, 0.0], [0.8e-8, 0.0], [1.6e-8, 0.0], [0.0, 0.0], [0.8e-8, 0.5e-8]])
     owner = np.array([0, 0, 0, 1, 0])
     assert _first_copies(xy, owner, 1e-8).tolist() == [0, 0, 2, 3, 0]
+
+
+def test_first_copies_matches_the_rule_on_clusters_and_lines():
+    """Clusters on a lattice of fractions of the gap, some on one vertical
+    line, so that close rows straddle the cell edges of both grids: every
+    row is a copy of the first earlier kept row of its owner within the gap
+    in both coordinates."""
+    rng = np.random.default_rng(8)
+    for t in range(400):
+        gap = (1e-12, 1e-8, 0.5)[t % 3]
+        k = int(rng.integers(1, 30))
+        xy = rng.uniform(-3.0, 3.0, 2) + rng.integers(-8, 9, (k, 2)) * gap / rng.choice([1.0, 3.0, 4.0])
+        if t % 4 == 0:
+            xy[:, 0] = xy[0, 0]
+        owner = rng.integers(0, 2, k)
+        into = list(range(k))
+        for j in range(k):
+            into[j] = next((i for i in range(j) if into[i] == i and owner[i] == owner[j]
+                            and np.abs(xy[i] - xy[j]).max() <= gap), j)
+        assert _first_copies(xy, owner, gap).tolist() == into
 
 
 def _far_and_contained(centers, radii, radius):

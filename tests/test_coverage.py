@@ -21,6 +21,7 @@ from pupilcover import (
     prime_design,
 )
 from pupilcover.coverage import _covers_trivially, build_analysis
+from pupilcover.geom import TOL
 from tests.conftest import acs_disks, count_calls, g4_lattice, near_collinear_start, random_config
 from tests.reference import alpha_star_bounds
 from tests.reference import max_objective as reference_max_objective
@@ -60,6 +61,20 @@ def test_decide_two_pupils_uncovered_with_valid_witness():
 def test_decide_early_exit_on_big_pupil():
     cfg = PupilConfig([Pupil(Point(7, -3), 0.6)], 1.0)  # 2*rho > R anywhere
     assert decide(cfg) == (True, None)
+
+
+def test_covered_flag_takes_the_trivial_cover():
+    """A pupil of radius R/2 covers the objective on its own, so every
+    verdict says covered, although at R near 3.8e9 the rim witnesses round
+    to an additive distance beyond the absolute TOL."""
+    R = 3795267259.6578326
+    cfg = PupilConfig([Pupil(Point(-149994945.70572662, -1905619719.2136812), 846760740.2410753),
+                       Pupil(Point(3414282291.498467, -3256135166.3869324), R / 2.0)], R)
+    an = build_analysis(cfg)
+    assert an.worst_value > TOL
+    assert an.covered and an.decision() == (True, None) == decide(cfg)
+    report = analyze(cfg)
+    assert report.covered and report.witness is None
 
 
 def test_coverage_oracle_single_pupil():

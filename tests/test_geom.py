@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,14 +165,19 @@ def _brute_force_acs(cfg):
 
 
 _DUPLICATES = [
-    # identical pupils, one pupil repeated with another radius, and centers
-    # that agree only to rounding (0.1 + 0.2 against 0.3)
+    # identical pupils, one pupil repeated with another radius, centers
+    # that agree only to rounding (0.1 + 0.2 against 0.3), and a chain
+    # 0.7e-12 apart: label (0, 2) at -1.4e-12 is beyond MERGE_TOL of the
+    # origin and starts a group, and label (1, 2) at -0.7e-12, within
+    # MERGE_TOL of both roots, joins the origin's, the earlier one
     PupilConfig([Pupil(Point(0.1, 0.2), 0.2), Pupil(Point(0.1, 0.2), 0.2),
                  Pupil(Point(-0.3, 0.1), 0.15)], 1.0),
     PupilConfig([Pupil(Point(0.1, 0.2), 0.2), Pupil(Point(0.1, 0.2), 0.1),
                  Pupil(Point(-0.3, 0.1), 0.15), Pupil(Point(0.1, 0.2), 0.2)], 1.0),
     PupilConfig([Pupil(Point(0.1 + 0.2, 0.0), 0.1), Pupil(Point(0.3, 0.0), 0.2),
                  Pupil(Point(0.0, 0.0), 0.1), Pupil(Point(0.6, 0.0), 0.05)], 1.0),
+    PupilConfig([Pupil(Point(0.0, 0.0), 0.1), Pupil(Point(0.7e-12, 0.0), 0.2),
+                 Pupil(Point(1.4e-12, 0.0), 0.3)], 1.0),
 ]
 
 
@@ -204,13 +210,17 @@ def test_config_rejects_overflowing_difference_disks(pupils):
 
 
 def test_build_acs_far_apart_pupils():
-    """Centers whose difference overflows the hash bins' integer range still
-    merge exactly."""
-    cfg = PupilConfig([Pupil(Point(0.0, 0.0), 0.1), Pupil(Point(1e300, -1e300), 0.2),
-                       Pupil(Point(0.0, 0.0), 0.3)], 1.0)
-    acs = build_acs(cfg)
-    assert acs.centers.tolist() == _brute_force_acs(cfg)[0]
-    assert acs.pair_disk.tolist() == _brute_force_acs(cfg)[2]
+    """Centers 1e300 apart, or so far apart that the steps between their
+    differences overflow, still merge exactly and without a warning."""
+    for cfg in (PupilConfig([Pupil(Point(0.0, 0.0), 0.1), Pupil(Point(1e300, -1e300), 0.2),
+                             Pupil(Point(0.0, 0.0), 0.3)], 1.0),
+                PupilConfig([Pupil(Point(0.0, 6e307), 0.1), Pupil(Point(0.0, -6e307), 0.1),
+                             Pupil(Point(1e307, 0.0), 0.1)], 1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acs = build_acs(cfg)
+        assert acs.centers.tolist() == _brute_force_acs(cfg)[0]
+        assert acs.pair_disk.tolist() == _brute_force_acs(cfg)[2]
 
 
 def test_dedup_preserves_union(rng):

@@ -12,6 +12,7 @@ from pupilcover import (
     solve_lp,
     solve_qp,
 )
+from pupilcover import solver
 
 
 def test_lp_single_binding_constraint():
@@ -48,6 +49,23 @@ def test_lp_respects_bounds():
     x = solve_lp(lp)
     assert x[0] >= 0.25 - 1e-9 and x[1] <= 0.75 + 1e-9
     assert float(np.array([1.0, 1.0]) @ x) >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("cost", [1.0, 0.0])
+def test_lp_drives_a_zero_artificial_out_of_the_basis(cost, monkeypatch):
+    """x >= 2, -x >= -2 and 2x >= 1 end phase 1 with the artificial of the
+    first row basic at zero; it is pivoted out and the vertex is x = 2."""
+    ends = []
+    run_simplex = solver._run_simplex
+
+    def run(tableau, basis, allowed):
+        run_simplex(tableau, basis, allowed)
+        ends.append([b >= allowed and tableau[r, -1] == 0.0 for r, b in enumerate(basis)])
+
+    monkeypatch.setattr(solver, "_run_simplex", run)
+    x = solve_lp(LinearProgram([cost], [[1.0], [-1.0], [2.0]], [2.0, -2.0, 1.0], [0.0]))
+    assert ends[0] == [True, False, False]
+    assert x.tolist() == [2.0]
 
 
 def _enumerate_vertices(lp: LinearProgram) -> float:
