@@ -47,8 +47,8 @@ class SearchSpaceTooLarge(Exception):
 
 
 #: Largest accepted ``min_radius`` and ``max_radius``.  The radius programs
-#: add two radii per row, bound phase 1 by 1e4 times the largest bound, and
-#: the traces report pi r^2: all stay finite far beyond it.
+#: add two radii per row and the traces report pi r^2: both stay finite far
+#: beyond it.
 _RADIUS_LIMIT = 1e150
 
 

@@ -1,17 +1,20 @@
-"""Small dense linear and convex quadratic program solvers.
+"""Small dense linear and strictly convex quadratic program solvers.
 
 Problems have tens of variables and up to a few thousand rows (the radius
 program of the p = 2 prime design has 2,192), and both solvers are dense and
 self-contained: a two-phase tableau simplex with Bland's rule for
-determinism, and a primal active-set method for convex QPs.  Constraint rows
-are one (rows, n) matrix ``a`` and one (rows,) vector ``b`` meaning
-``a @ x >= b``; the solvers stack them with the finite bound rows and never
-handle a row on its own.  Each solve is certified post hoc from scratch
-(feasibility, dual signs and complementary slackness for the LP; the KKT
-residuals for the QP), each check one matrix product over all rows.
+determinism, and the dual active-set method of Goldfarb and Idnani for QPs
+with a positive definite Q.  The QP method starts at the unconstrained
+minimum and adds violated rows one at a time, so it needs no phase 1 and no
+feasible start.  Constraint rows are one (rows, n) matrix ``a`` and one
+(rows,) vector ``b`` meaning ``a @ x >= b``; the solvers stack them with the
+finite bound rows and never handle a row on its own.  Each solve is
+certified post hoc from scratch (feasibility, dual signs and complementary
+slackness for the LP; the KKT residuals for the QP), each check one matrix
+product over all rows.
 
-Bland's entering column, the ratio test, the active-set blocking row and
-the first working set are array scans over the rows or columns that
+Bland's entering column, the ratio test and the QP's most violated row and
+first falling multiplier are array scans over the rows or columns that
 qualify, taken in index order with the sequential tie rules; only the
 tableau update walks its rows (see ``_pivot``).
 """
@@ -76,7 +79,7 @@ class LinearProgram:
 class QuadraticProgram:
     """minimize 0.5 * x @ Q @ x + c @ x under the same constraint shape as
     LinearProgram, with no rows when ``a`` is None.  Q must be symmetric
-    positive semidefinite."""
+    positive definite."""
 
     Q: np.ndarray
     c: np.ndarray
@@ -94,8 +97,8 @@ class QuadraticProgram:
         scale = max(1.0, float(np.abs(self.Q).max()))
         if np.abs(self.Q - self.Q.T).max() > 1e-9 * scale:
             raise ValueError("Q must be symmetric")
-        if float(np.linalg.eigvalsh(self.Q).min()) < -1e-8 * scale:
-            raise ValueError("Q must be positive semidefinite")
+        if float(np.linalg.eigvalsh(self.Q).min()) <= 1e-10 * scale:
+            raise ValueError("Q must be positive definite")
         if self.a is None and self.b is None:
             self.a, self.b = np.zeros((0, n)), np.zeros(0)
         self.a, self.b = _matrix(self.a, self.b, n)
@@ -172,18 +175,13 @@ def _simplex_standard(cost: np.ndarray, eq: np.ndarray, rhs: np.ndarray) -> tupl
         raise Infeasible("phase-1 optimum is positive")
 
     # Drive leftover artificials out of the basis, each on its first real
-    # column with a usable pivot; drop the redundant rows, which have none.
-    keep = np.ones(m + 1, dtype=bool)
+    # column with a usable pivot.  ``solve_lp`` gives every row its own slack
+    # column, so a row without one is a numerical failure, not a redundancy.
     for r in np.flatnonzero(np.array(basis) >= nv).tolist():
         piv = np.flatnonzero(np.abs(tableau[r, :nv]) > _PIVOT_TOL)
-        if piv.size:
-            _pivot(tableau, basis, r, int(piv[0]))
-        else:
-            keep[r] = False
-    if not keep.all():
-        tableau = tableau[keep]
-        basis = [basis[r] for r in np.flatnonzero(keep[:m]).tolist()]
-        m = len(basis)
+        if piv.size == 0:
+            raise NumericalError("no real column can replace a zero artificial")
+        _pivot(tableau, basis, r, int(piv[0]))
 
     # Phase 2 on the real objective.  The basic columns are unit columns, so
     # a row's update leaves the costs of the other basic columns unchanged.
@@ -261,74 +259,69 @@ def _certify_lp(lp, x, cost, eq, rhs, z, basis) -> None:
         raise NumericalError("duality gap not closed")
 
 
-def _qp_feasible_start(rows: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
-    # Synthetic box keeps phase 1 bounded; sized from the data so the tableau
-    # stays well scaled, and generous enough to never bind at the optimum.
-    box = 1e4 * max(1.0, float(np.abs(rhs).max(initial=0.0)))
-    return solve_lp(LinearProgram(np.zeros(n), rows, rhs, np.full(n, -box), np.full(n, box)))
-
-
 def solve_qp(qp: QuadraticProgram) -> np.ndarray:
-    """Minimizer of a convex QP by a primal active-set method; the
-    unconstrained case solves the normal equations directly.  The returned
-    point satisfies the KKT conditions to 1e-8."""
+    """Minimizer of a strictly convex QP by the dual active-set method of
+    Goldfarb and Idnani (Math. Prog. 27, 1983).  It starts at the
+    unconstrained minimum -Q^-1 c with no working rows, so it needs no
+    feasible start, and adds the most violated row one at a time (the lowest
+    index on ties).  Each step solves the KKT system of the working rows for
+    the primal direction and the multiplier change, then either drops the
+    working row whose multiplier reaches zero first or adds the new row.  A
+    row that no direction can satisfy while no multiplier can drop proves the
+    rows infeasible.  The returned point satisfies the KKT conditions to
+    1e-8."""
     n = qp.c.shape[0]
     rows, rhs = _with_bounds(qp.a, qp.b, qp.lower_bounds, qp.upper_bounds)
     m = rows.shape[0]
-    if m == 0:
-        try:
-            x = np.linalg.solve(qp.Q, -qp.c)
-        except np.linalg.LinAlgError:
-            x, *_ = np.linalg.lstsq(qp.Q, -qp.c, rcond=None)
-        _certify_qp(qp, rows, rhs, x, np.zeros(0), [])
-        return x
-
-    x = _qp_feasible_start(rows, rhs, n)
-    # The rows active at the start, kept linearly independent.
+    q_max = float(np.abs(qp.Q).max())
+    x = np.linalg.solve(qp.Q, -qp.c)
     working: list[int] = []
-    for k in np.flatnonzero(np.abs(rows @ x - rhs) <= 1e-9).tolist():
-        if np.linalg.matrix_rank(rows[working + [k]], tol=1e-10) == len(working) + 1:
-            working.append(k)
-
-    lam = np.zeros(len(working))
+    lam = np.zeros(0)
+    add = -1
     for _ in range(100 * (m + 2)):
-        g = qp.Q @ x + qp.c
+        if add < 0:
+            slack = rows @ x - rhs
+            # Per row, so that a huge bound row hides no real violation.
+            tol = 1e-12 * (1.0 + np.abs(rhs) + float(np.abs(x).max(initial=0.0)))
+            short = np.flatnonzero(slack < -tol)
+            if short.size == 0:
+                _certify_qp(qp, rows, rhs, x, lam, working)
+                return x
+            add = int(short[np.argmin(slack[short])])
+            lam_add = 0.0
+        normal = rows[add]
         k = len(working)
         kkt = np.zeros((n + k, n + k))
         kkt[:n, :n] = qp.Q
-        if k:
-            aw = rows[working]
-            kkt[:n, n:] = aw.T
-            kkt[n:, :n] = aw
-        rhs_vec = np.concatenate([-g, np.zeros(k)])
-        try:
-            sol = np.linalg.solve(kkt, rhs_vec)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(kkt, rhs_vec, rcond=None)
-        d = sol[:n]
-        # Stationarity is Q(x+d) + c - A_W^T lam = 0; the symmetric KKT block
-        # [[Q, A_W^T], [A_W, 0]] therefore returns the negated multipliers.
-        lam = -sol[n:]
-        if np.abs(d).max(initial=0.0) <= 1e-11:
-            if k == 0 or lam.min(initial=0.0) >= -1e-9:
-                _certify_qp(qp, rows, rhs, x, lam, working)
-                return x
-            drop = int(np.argmin(lam))
+        kkt[:n, n:] = rows[working].T
+        kkt[n:, :n] = rows[working]
+        sol = np.linalg.solve(kkt, np.concatenate([normal, np.zeros(k)]))
+        # Q z + A_W^T r = normal with A_W z = 0: per unit step along z the new
+        # row's multiplier rises by 1 and the working multipliers fall by r.
+        z, r = sol[:n], sol[n:]
+        # z is null when the new row lies in the span of the working rows.
+        null = float(np.abs(z).max()) <= 1e-11 * float(np.abs(normal).max()) / q_max
+        falling = np.flatnonzero(r > 1e-12 * float(np.abs(r).max(initial=0.0)))
+        if null and falling.size == 0:
+            raise Infeasible(f"row {add} cannot be satisfied together with the working rows")
+        t_add = math.inf if null else max(float(rhs[add] - normal @ x) / float(normal @ z), 0.0)
+        t_drop, drop = math.inf, -1
+        if falling.size:
+            ratios = lam[falling] / r[falling]
+            drop = int(falling[np.argmin(ratios)])
+            t_drop = max(float(ratios.min()), 0.0)
+        step = min(t_add, t_drop)
+        if not null:
+            x = x + step * z
+        lam = lam - step * r
+        lam_add += step
+        if t_add <= t_drop:
+            working.append(add)
+            lam = np.append(lam, lam_add)
+            add = -1
+        else:
             working.pop(drop)
-            continue
-        ad = rows @ d
-        ad[working] = 0.0
-        ahead = np.flatnonzero(ad < -1e-12)
-        limits = (rows[ahead] @ x - rhs[ahead]) / -ad[ahead]
-        step = 1.0
-        blocking = -1
-        for r, limit_r in zip(ahead.tolist(), limits.tolist()):
-            if limit_r < step - 1e-14:
-                step = max(limit_r, 0.0)
-                blocking = r
-        x = x + step * d
-        if blocking >= 0 and step < 1.0:
-            working.append(blocking)
+            lam = np.delete(lam, drop)
     raise NumericalError("active-set iteration limit exceeded")
 
 

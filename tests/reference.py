@@ -11,6 +11,11 @@
   norm so far tested with ``delta_min`` and ``_exposed``.
 - Two-sided bounds on alpha*, the largest minimal additive distance over
   the objective, by Piyavskii-Shubert branch and bound over square cells.
+- A primal active-set QP solver: a feasible start from a phase-1 LP of
+  ``solve_lp`` inside a box of 1e4 times the largest right side, then one
+  working-set change per step.  It shares only the row stacking, ``solve_lp``
+  and the KKT certificate with ``pupilcover.solver.solve_qp``, the dual
+  active-set method, so the tests use it as that solver's reference.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import numpy as np
 from pupilcover.apollonius import _FINAL_RESIDUAL, _NEWTON_STEPS, DegenerateTriple
 from pupilcover.coverage import NoCoverage, _exposed
 from pupilcover.geom import TOL, Acs, Disk, Point, PupilConfig, build_acs, delta_min
+from pupilcover.solver import (LinearProgram, NumericalError, QuadraticProgram, _certify_qp,
+                               _with_bounds, solve_lp)
 
 
 def _polish_vertex(x: float, y: float, r: float, cs, rs) -> tuple[float, float, float] | None:
@@ -253,3 +260,74 @@ def alpha_star_bounds(cfg: PupilConfig, width: float) -> tuple[float, float]:
         qx = (qx[split, None] + half * np.array([-1.0, 1.0, -1.0, 1.0])).ravel()
         qy = (qy[split, None] + half * np.array([-1.0, -1.0, 1.0, 1.0])).ravel()
     return lb, max(lb, ub)
+
+
+def _qp_feasible_start(rows: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
+    # Synthetic box keeps phase 1 bounded; sized from the data so the tableau
+    # stays well scaled, and generous enough to never bind at the optimum.
+    box = 1e4 * max(1.0, float(np.abs(rhs).max(initial=0.0)))
+    return solve_lp(LinearProgram(np.zeros(n), rows, rhs, np.full(n, -box), np.full(n, box)))
+
+
+def solve_qp(qp: QuadraticProgram) -> np.ndarray:
+    """Minimizer of a convex QP by a primal active-set method from the
+    phase-1 start; the unconstrained case solves the normal equations
+    directly.  The returned point satisfies the KKT conditions to 1e-8."""
+    n = qp.c.shape[0]
+    rows, rhs = _with_bounds(qp.a, qp.b, qp.lower_bounds, qp.upper_bounds)
+    m = rows.shape[0]
+    if m == 0:
+        try:
+            x = np.linalg.solve(qp.Q, -qp.c)
+        except np.linalg.LinAlgError:
+            x, *_ = np.linalg.lstsq(qp.Q, -qp.c, rcond=None)
+        _certify_qp(qp, rows, rhs, x, np.zeros(0), [])
+        return x
+
+    x = _qp_feasible_start(rows, rhs, n)
+    # The rows active at the start, kept linearly independent.
+    working: list[int] = []
+    for k in np.flatnonzero(np.abs(rows @ x - rhs) <= 1e-9).tolist():
+        if np.linalg.matrix_rank(rows[working + [k]], tol=1e-10) == len(working) + 1:
+            working.append(k)
+
+    lam = np.zeros(len(working))
+    for _ in range(100 * (m + 2)):
+        g = qp.Q @ x + qp.c
+        k = len(working)
+        kkt = np.zeros((n + k, n + k))
+        kkt[:n, :n] = qp.Q
+        if k:
+            aw = rows[working]
+            kkt[:n, n:] = aw.T
+            kkt[n:, :n] = aw
+        rhs_vec = np.concatenate([-g, np.zeros(k)])
+        try:
+            sol = np.linalg.solve(kkt, rhs_vec)
+        except np.linalg.LinAlgError:
+            sol, *_ = np.linalg.lstsq(kkt, rhs_vec, rcond=None)
+        d = sol[:n]
+        # Stationarity is Q(x+d) + c - A_W^T lam = 0; the symmetric KKT block
+        # [[Q, A_W^T], [A_W, 0]] therefore returns the negated multipliers.
+        lam = -sol[n:]
+        if np.abs(d).max(initial=0.0) <= 1e-11:
+            if k == 0 or lam.min(initial=0.0) >= -1e-9:
+                _certify_qp(qp, rows, rhs, x, lam, working)
+                return x
+            drop = int(np.argmin(lam))
+            working.pop(drop)
+            continue
+        ad = rows @ d
+        ad[working] = 0.0
+        ahead = np.flatnonzero(ad < -1e-12)
+        limits = (rows[ahead] @ x - rhs[ahead]) / -ad[ahead]
+        step = 1.0
+        blocking = -1
+        for r, limit_r in zip(ahead.tolist(), limits.tolist()):
+            if limit_r < step - 1e-14:
+                step = max(limit_r, 0.0)
+                blocking = r
+        x = x + step * d
+        if blocking >= 0 and step < 1.0:
+            working.append(blocking)
+    raise NumericalError("active-set iteration limit exceeded")

@@ -244,6 +244,18 @@ def test_radius_options_up_to_the_limit_solve(tmp_path, capsys):
     assert json.loads(out)["result"]["trace"]["final_config"]["pupils"][0]["r"] == 1e150
 
 
+def test_minarea_with_a_huge_max_radius_solves(tmp_path, capsys):
+    """An upper bound of 1e20 that never binds leaves the area program as it
+    is: each row's violation test scales with its own right side, so the
+    bound rows hide no violation of the covering rows."""
+    code, out, _ = run(capsys, "minarea", write_config(
+        tmp_path, {**UNCOVERED, "options": {"max_radius": 1e20}}))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["covered"] is True
+    assert result["trace"]["final_config"]["pupils"][0]["r"] == pytest.approx(0.5, abs=1e-9)
+
+
 @pytest.mark.parametrize("command,options", [
     ("exhaustive", {"theta": 10**400}),
     ("minsum", {"gauge": "g" * 1000}),

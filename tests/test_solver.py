@@ -13,6 +13,7 @@ from pupilcover import (
     solve_qp,
 )
 from pupilcover import solver
+from tests import reference
 
 
 def test_lp_single_binding_constraint():
@@ -133,6 +134,8 @@ def test_qp_rejects_asymmetric_or_indefinite():
         QuadraticProgram(np.array([[1.0, 2.0], [0.0, 1.0]]), [0.0, 0.0])
     with pytest.raises(ValueError):
         QuadraticProgram(np.array([[1.0, 0.0], [0.0, -1.0]]), [0.0, 0.0])
+    with pytest.raises(ValueError):
+        QuadraticProgram(np.array([[1.0, 1.0], [1.0, 1.0]]), [0.0, 0.0])
 
 
 def test_qp_infeasible():
@@ -141,6 +144,116 @@ def test_qp_infeasible():
     )
     with pytest.raises(Infeasible):
         solve_qp(qp)
+
+
+def _pair_rows(rng, n, upper, no_overlap):
+    """The radius program's shape: rho_i + rho_j >= b over i <= j, optional
+    no-overlap rows -rho_i - rho_j >= -gap and upper bounds, rho >= 0.  All
+    rows hold at a random point, so the program is feasible."""
+    inside = rng.uniform(0.1, 0.6, n)
+    i, j = np.triu_indices(n)
+    a = np.zeros((i.size, n))
+    np.add.at(a, (np.arange(i.size), i), 1.0)
+    np.add.at(a, (np.arange(j.size), j), 1.0)
+    b = a @ inside - rng.uniform(0.0, 0.3, i.size)
+    if no_overlap:
+        oi, oj = np.triu_indices(n, 1)
+        o = np.zeros((oi.size, n))
+        o[np.arange(oi.size), oi] = o[np.arange(oi.size), oj] = -1.0
+        gap = inside[oi] + inside[oj] + rng.uniform(0.0, 0.5, oi.size)
+        a, b = np.vstack([a, o]), np.concatenate([b, -gap])
+    ub = inside + rng.uniform(0.0, 0.2, n) if upper else None
+    return QuadraticProgram(2.0 * math.pi * np.eye(n), np.zeros(n), a, b, np.zeros(n), ub)
+
+
+def _spd(rng, n):
+    g = rng.normal(size=(n, n))
+    return g @ g.T + 0.5 * np.eye(n)
+
+
+def _general_rows(rng, n):
+    """Random real rows, all holding at a random point."""
+    m = int(rng.integers(1, 4 * n))
+    a = rng.normal(size=(m, n))
+    b = a @ rng.normal(size=n) - rng.uniform(0.0, 1.0, m)
+    return QuadraticProgram(_spd(rng, n), rng.normal(size=n), a, b)
+
+
+def _box_only(rng, n):
+    lb = rng.uniform(-1.0, 0.0, n)
+    return QuadraticProgram(np.diag(rng.uniform(0.5, 4.0, n)), rng.uniform(-2.0, 2.0, n),
+                            lower_bounds=lb, upper_bounds=lb + rng.uniform(0.2, 2.0, n))
+
+
+def _degenerate_rows(rng, n):
+    """Duplicate and parallel copies of random rows, and rows through a
+    point where all rows hold.  When that point is the unconstrained minimum,
+    the rows through it are active at the optimum with zero multiplier."""
+    q, c = _spd(rng, n), rng.normal(size=n)
+    m = int(rng.integers(1, 2 * n))
+    a = rng.normal(size=(m, n))
+    inside = rng.normal(size=n) if rng.uniform() < 0.5 else np.linalg.solve(q, -c)
+    b = a @ inside - rng.uniform(0.0, 1.0, m)
+    through = rng.normal(size=(2, n))
+    a = np.vstack([a, a[:1], 2.5 * a[-1:], through])
+    b = np.concatenate([b, b[:1], 2.5 * b[-1:], through @ inside])
+    order = rng.permutation(b.size)
+    return QuadraticProgram(q, c, a[order], b[order])
+
+
+def _infeasible_rows(rng, n):
+    """A row and its shifted opposite, or pair sums beyond the upper bound,
+    hidden among feasible rows."""
+    if rng.uniform() < 0.5:
+        qp = _pair_rows(rng, n, upper=False, no_overlap=False)
+        return QuadraticProgram(qp.Q, qp.c, qp.a, qp.b + 1.0, qp.lower_bounds,
+                                np.full(n, 0.25))
+    qp = _general_rows(rng, n)
+    row = rng.normal(size=n)
+    bound = float(rng.normal())
+    a = np.vstack([qp.a, row, -row])
+    b = np.concatenate([qp.b, [bound, -bound + rng.uniform(0.1, 1.0)]])
+    return QuadraticProgram(qp.Q, qp.c, a, b)
+
+
+def _qp_cases():
+    rng = np.random.default_rng(1717)
+    cases = []
+    for k in range(24):
+        n = int(rng.integers(2, 7))
+        cases.append(("pair sums", _pair_rows(rng, n, upper=k % 2 == 1, no_overlap=k % 4 >= 2)))
+    for _ in range(24):
+        cases.append(("general rows", _general_rows(rng, int(rng.integers(1, 6)))))
+    for _ in range(16):
+        cases.append(("boxes", _box_only(rng, int(rng.integers(1, 6)))))
+    for _ in range(24):
+        cases.append(("degenerate rows", _degenerate_rows(rng, int(rng.integers(2, 6)))))
+    for _ in range(16):
+        cases.append(("infeasible", _infeasible_rows(rng, int(rng.integers(2, 6)))))
+    return cases
+
+
+def _qp_outcome(solve, qp):
+    try:
+        return solve(qp)
+    except Infeasible:
+        return "Infeasible"
+
+
+def test_qp_matches_the_primal_reference():
+    """The dual active-set solver and the primal active-set reference with
+    its phase-1 start agree on 104 seeded strictly convex QPs, within
+    1e-9 (1 + |x|), and both raise Infeasible on the same inputs."""
+    cases = _qp_cases()
+    assert len(cases) >= 100
+    for kind, qp in cases:
+        ours = _qp_outcome(solve_qp, qp)
+        ref = _qp_outcome(reference.solve_qp, qp)
+        # Only Infeasible gives a string.
+        assert isinstance(ours, str) == isinstance(ref, str) == (kind == "infeasible"), kind
+        if kind == "infeasible":
+            continue
+        assert np.abs(ours - ref).max() <= 1e-9 * (1.0 + np.abs(ours).max()), (kind, ours, ref)
 
 
 def _projected_gradient(Q, c, lb, ub, iters=30000):
