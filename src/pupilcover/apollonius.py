@@ -1,9 +1,13 @@
 """Additively weighted proximity structure over the ACS disks.
 
-Only the pieces the covering algorithms need are built: pairwise bisectors,
-points at equal additive distance to three disks, and the witness table:
-vertices inside the objective plus cell-boundary crossings of its rim, as
-arrays of points, owning disks and kind codes (``_witness_table``).
+Only what the covering algorithms need is built: the witness table, as
+arrays of points, owning disks and kind codes (``_witness_table``).  Its rows
+are the vertices and rim crossings of the paper's finite witness set: the
+points inside the objective at equal additive distance to three disks, and
+the points of the rim at equal distance to two, each where its disks attain
+the minimum (``coverage`` adds the diametral points).  No bisector is built:
+a triple's points come in closed form from its squared equations, and a
+pair's rim crossings are the unit roots of one quartic.
 
 The table is built in batched numpy stages.  A cell mask first keeps only
 the disks that can attain the minimum over the objective (``_live_disks``):
@@ -45,16 +49,14 @@ those of the full table, so the rows of largest value are too, and the work
 follows the kept disks.  The largest bound of a level holds F over the whole
 objective, so once it lies below minus those tolerances the pass can stop
 and report coverage, with no witness table at all.  ``vertex_sets`` is a
-per-disk view of the table.  The
-triple stage is the package's one equal-distance solver:
-``tri_disk_vertices`` is its view of a single triple.
+per-disk view of the table.  The triple stage is the package's one
+equal-distance solver: ``tri_disk_vertices`` is its view of a single triple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Literal
 
 import numpy as np
@@ -103,104 +105,15 @@ _CUBE_UNITS = np.exp(2j * np.pi / 3.0 * np.arange(3))
 _SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None]
 
 
-class ConcentricDisks(ValueError):
-    """Raised when a bisector of two concentric disks is requested."""
-
-
-class EmptyBisector(ValueError):
-    """Raised when one disk additively dominates the other, so no point is
-    equidistant to both (center distance <= radius difference)."""
-
-
 class DegenerateTriple(ValueError):
     """Raised when three disks admit no isolated equal-distance point
     (e.g. equal radii with collinear centers)."""
-
-
-@dataclass(frozen=True)
-class Bisector:
-    """One branch of the equal-additive-distance locus of two disks.
-
-    In the canonical frame the disk centers sit at (-c, 0) and (+c, 0) with
-    c = half the center distance.  For distinct radii the locus is the
-    hyperbola branch x^2/a^2 - y^2/(c^2 - a^2) = 1 with semi-axis
-    a = |radius difference| / 2, bent around the smaller disk; for equal
-    radii it degenerates to the perpendicular bisector line (a = 0).
-    """
-
-    disk_a: int
-    disk_b: int
-    semi_axis: float            # a
-    focal_half_distance: float  # c
-    eccentricity: float | None  # c / a, None for the line case
-    mid: Point                  # frame origin (midpoint of the centers)
-    axis: tuple[float, float]   # unit vector from center a toward center b
-    branch_sign: int            # -1: branch on the a side, +1: on the b side
-
-    @property
-    def is_line(self) -> bool:
-        return self.semi_axis == 0.0
-
-    def point(self, t: float) -> Point:
-        ux, uy = self.axis
-        vx, vy = -uy, ux
-        if self.is_line:
-            return Point(self.mid.x + t * vx, self.mid.y + t * vy)
-        a = self.semi_axis
-        b = math.sqrt(self.focal_half_distance**2 - a**2)
-        cx = self.branch_sign * a * math.cosh(t)
-        cy = b * math.sinh(t)
-        return Point(self.mid.x + cx * ux + cy * vx, self.mid.y + cx * uy + cy * vy)
-
-    def abscissa(self, t: float) -> float:
-        """Canonical-frame x coordinate of ``point(t)``."""
-        if self.is_line:
-            return 0.0
-        return self.branch_sign * self.semi_axis * math.cosh(t)
-
-
-def _check_disks(acs: Acs, *disks: int) -> None:
-    """Raise ValueError unless every index is an integer naming a disk of
-    ``acs`` (numpy would wrap a negative one and take a bool as a mask)."""
-    for k in disks:
-        if isinstance(k, bool) or not isinstance(k, Integral) or not 0 <= k < acs.size:
-            raise ValueError(f"disk index {k!r} is not an integer in 0..{acs.size - 1}")
 
 
 def _check_radius(radius: float) -> None:
     """Raise ValueError unless the objective radius is finite and positive."""
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
-
-
-def bisector(acs: Acs, a: int, b: int) -> Bisector:
-    """Bisector of two ACS disks (a hyperbola branch, or a line for equal
-    radii).  Raises ConcentricDisks for coincident centers and EmptyBisector
-    when one disk additively dominates the other."""
-    _check_disks(acs, a, b)
-    (ax, ay), (bx, by) = acs.centers[[a, b]].tolist()
-    ra, rb = acs.radii[[a, b]].tolist()
-    dx, dy = bx - ax, by - ay
-    dist = math.hypot(dx, dy)
-    if dist <= TOL:
-        raise ConcentricDisks(f"disks {a} and {b} are concentric")
-    semi = abs(rb - ra) / 2.0
-    half = dist / 2.0
-    if semi >= half:
-        raise EmptyBisector(f"disk pair ({a}, {b}) has no equidistant point")
-    mid = Point((ax + bx) / 2.0, (ay + by) / 2.0)
-    axis = (dx / dist, dy / dist)
-    if ra == rb:
-        return Bisector(a, b, 0.0, half, None, mid, axis, -1)
-    sign = -1 if ra < rb else 1
-    return Bisector(a, b, semi, half, half / semi, mid, axis, sign)
-
-
-def bisector_point(bis: Bisector, t: float) -> Point:
-    """Point on the branch at parameter ``t``; t = 0 is the apex (the point
-    of minimal additive distance on the bisector) and the map is continuous
-    and injective in t."""
-    return bis.point(t)
 
 
 def is_global_vertex(acs: Acs, x: Point, r: float) -> bool:
@@ -738,26 +651,6 @@ def _rim_witnesses(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ia: np.ndarr
     renum[keep] = np.arange(np.count_nonzero(keep))
     sel = keep[pt]
     return px[keep], py[keep], renum[pt[sel]], dk[sel]
-
-
-def boundary_crossings(acs: Acs, a: int, b: int, radius: float) -> list[Point]:
-    """Points of the objective rim (|x| = radius) where disks ``a`` and ``b``
-    are at equal additive distance and that distance is the global minimum.
-
-    The crossings are the unit roots of one quartic in e^{i theta} (a
-    quadratic for equal radii), Newton-polished on the unsquared condition;
-    see ``_rim_crossings``.  Raises ConcentricDisks, as ``bisector`` does,
-    when the centers are within ``TOL`` (``a == b`` included)."""
-    _check_disks(acs, a, b)
-    _check_radius(radius)
-    c = acs.centers
-    if math.hypot(*(c[b] - c[a]).tolist()) <= TOL:
-        raise ConcentricDisks(f"disks {a} and {b} are concentric")
-    px, py, _, _ = _rim_witnesses(c[:, 0], c[:, 1], acs.radii, np.array([a]),
-                                  np.array([b]), radius)
-    out = [Point(float(x), float(y)) for x, y in zip(px, py)]
-    out.sort(key=lambda p: math.atan2(p.y, p.x))
-    return out
 
 
 @dataclass(frozen=True)

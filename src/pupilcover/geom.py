@@ -198,12 +198,6 @@ class Acs:
         return self.pair_disk.shape[0]
 
 
-def delta(d, x: Point) -> float:
-    """Additive distance from ``x`` to a disk: Euclidean distance to the
-    center minus the radius.  Negative inside, zero on the boundary."""
-    return math.hypot(x.x - d.center.x, x.y - d.center.y) - d.radius
-
-
 def delta_min(acs: Acs, x: Point) -> tuple[float, int]:
     """Smallest additive distance over all ACS disks and the index of a
     minimizer; ties go to the lowest disk index."""
@@ -211,12 +205,6 @@ def delta_min(acs: Acs, x: Point) -> tuple[float, int]:
     vals = np.hypot(c[:, 0] - x.x, c[:, 1] - x.y) - acs.radii
     k = int(np.argmin(vals))
     return float(vals[k]), k
-
-
-def minkowski_diff(p: Pupil, q: Pupil) -> Disk:
-    """Difference disk of two pupils: centered at the center difference,
-    radius equal to the radius sum."""
-    return Disk(p.center - q.center, p.radius + q.radius)
 
 
 def _first_copies(xy: np.ndarray, owner: np.ndarray, gap: float) -> np.ndarray:

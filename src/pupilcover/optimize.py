@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import DIAMETRAL, Analysis, build_analysis, decide
-from .geom import TOL, Point, Pupil, PupilConfig
+from .geom import Point, Pupil, PupilConfig
 from .solver import LinearProgram, QuadraticProgram, solve_lp, solve_qp
 
 
@@ -158,11 +158,13 @@ def _fixed_center_loop(cfg: PupilConfig, opts: OptimizerConfig, objective: str) 
             rho = solve_lp(LinearProgram(np.ones(n), a, b, lb, ub))
         else:
             rho = solve_qp(QuadraticProgram(2.0 * math.pi * np.eye(n), np.zeros(n), a, b, lb, ub))
-        err = float(sum(current.radii)) - float(rho.sum())
+        # Both sums are taken as ``_entry`` reports them, left to right.
+        rho = np.maximum(rho, 0.0)
+        err = sum(current.radii) - sum(rho.tolist())
         if iteration >= 2 and err < 0.0 and pending.covered:
             # The pass would raise the sum of a covering configuration.
             return OptimizerTrace(entries, current)
-        current = current.with_radii(np.maximum(rho, 0.0))
+        current = current.with_radii(rho)
         pending = _entry(current, covered=False)
         # The stop test is suppressed on the very first pass so that a
         # non-covering start is first inflated to feasibility.
@@ -223,17 +225,6 @@ def _relocation_rows(an: Analysis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     label = np.repeat(np.arange(disk.size), count)
     step = np.arange(label.size) - np.repeat(np.cumsum(count) - count, count)
     return i[label], j[label], an.xy[wit[np.searchsorted(owner, disk)[label] + step]]
-
-
-def relocation_objective(cfg: PupilConfig, rows: list[tuple[int, int, Point]]) -> float:
-    """Sum of squared residuals |(c_i - c_j) - witness|^2 for given rows."""
-    centers = cfg.centers
-    total = 0.0
-    for i, j, p in rows:
-        dx = centers[i].x - centers[j].x - p.x
-        dy = centers[i].y - centers[j].y - p.y
-        total += dx * dx + dy * dy
-    return total
 
 
 def _solve_relocation(cfg: PupilConfig, rows) -> list[Point]:

@@ -222,9 +222,9 @@ def solve_lp(lp: LinearProgram) -> np.ndarray:
     rows, rhs = _with_bounds(lp.a, lp.b - lp.a @ lb, None, None if ub is None else ub - lb)
     m = rows.shape[0]
     # Standard form: rows @ y - s = rhs with y, s >= 0.
-    eq = np.hstack([rows, -np.eye(m)]) if m else np.zeros((0, n))
+    eq = np.hstack([rows, -np.eye(m)])
     cost = np.concatenate([lp.objective, np.zeros(m)])
-    z, basis = _simplex_standard(cost, eq, rhs.copy())
+    z, basis = _simplex_standard(cost, eq, rhs)
     y = z[:n]
     x = y + lp.lower_bounds
 
@@ -240,10 +240,10 @@ def _certify_lp(lp, x, cost, eq, rhs, z, basis) -> None:
         raise NumericalError("lower bound violated beyond tolerance")
     if lp.upper_bounds is not None and np.any(x > lp.upper_bounds + 1e-9 * scale):
         raise NumericalError("upper bound violated beyond tolerance")
-    m, total = eq.shape[0], eq.shape[1] if eq.size else 0
+    m, total = eq.shape
     if m == 0:
         return
-    cols = eq[:, basis] if basis else np.zeros((m, 0))
+    cols = eq[:, basis]
     try:
         duals = np.linalg.solve(cols.T, cost[basis])
     except np.linalg.LinAlgError:

@@ -1,5 +1,14 @@
 """Independent references for the tests.
 
+- The closed-form bisector of two disks: the hyperbola branch (a line for
+  equal radii) of points at equal additive distance to both, with the
+  additive distance ``delta`` to one disk, the difference disk
+  ``minkowski_diff`` of two pupils, and the relocation objective
+  ``relocation_objective``.  The package needs none of them: it solves the
+  equal-distance points of triples and the rim crossings of pairs from their
+  squared equations (``pupilcover.apollonius``), and evaluates distances to
+  the difference disks as arrays.  The tests use them to check the engine's
+  witnesses and relocation against the geometry they stand for.
 - The scalar equal-distance solve of three disks, one triple at a time: a
   closed form in plain floats and a Newton polish with Cramer's rule.  It
   shares only ``TOL`` and the polish's stopping constants with the batched
@@ -21,14 +30,112 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from pupilcover.apollonius import _FINAL_RESIDUAL, _NEWTON_STEPS, DegenerateTriple
 from pupilcover.coverage import NoCoverage, _exposed
-from pupilcover.geom import TOL, Acs, Disk, Point, PupilConfig, build_acs, delta_min
+from pupilcover.geom import TOL, Acs, Disk, Point, Pupil, PupilConfig, build_acs, delta_min
 from pupilcover.solver import (LinearProgram, NumericalError, QuadraticProgram, _certify_qp,
                                _with_bounds, solve_lp)
+
+
+def delta(d: Disk, x: Point) -> float:
+    """Additive distance from ``x`` to a disk: Euclidean distance to the
+    center minus the radius.  Negative inside, zero on the boundary."""
+    return math.hypot(x.x - d.center.x, x.y - d.center.y) - d.radius
+
+
+def minkowski_diff(p: Pupil, q: Pupil) -> Disk:
+    """Difference disk of two pupils: centered at the center difference,
+    radius equal to the radius sum."""
+    return Disk(p.center - q.center, p.radius + q.radius)
+
+
+def relocation_objective(cfg: PupilConfig, rows: list[tuple[int, int, Point]]) -> float:
+    """Sum of squared residuals |(c_i - c_j) - witness|^2 for given rows."""
+    centers = cfg.centers
+    total = 0.0
+    for i, j, p in rows:
+        dx = centers[i].x - centers[j].x - p.x
+        dy = centers[i].y - centers[j].y - p.y
+        total += dx * dx + dy * dy
+    return total
+
+
+class ConcentricDisks(ValueError):
+    """Raised when a bisector of two concentric disks is requested."""
+
+
+class EmptyBisector(ValueError):
+    """Raised when one disk additively dominates the other, so no point is
+    equidistant to both (center distance <= radius difference)."""
+
+
+@dataclass(frozen=True)
+class Bisector:
+    """One branch of the equal-additive-distance locus of two disks.
+
+    In the canonical frame the disk centers sit at (-c, 0) and (+c, 0) with
+    c = half the center distance.  For distinct radii the locus is the
+    hyperbola branch x^2/a^2 - y^2/(c^2 - a^2) = 1 with semi-axis
+    a = |radius difference| / 2, bent around the smaller disk; for equal
+    radii it degenerates to the perpendicular bisector line (a = 0).
+    """
+
+    semi_axis: float            # a
+    focal_half_distance: float  # c
+    eccentricity: float | None  # c / a, None for the line case
+    mid: Point                  # frame origin (midpoint of the centers)
+    axis: tuple[float, float]   # unit vector from the first center toward the second
+    branch_sign: int            # -1: branch on the first disk's side, +1: on the second's
+
+    @property
+    def is_line(self) -> bool:
+        return self.semi_axis == 0.0
+
+    def point(self, t: float) -> Point:
+        """Point on the branch at parameter ``t``; t = 0 is the apex (the
+        point of minimal additive distance on the bisector) and the map is
+        continuous and injective in t."""
+        ux, uy = self.axis
+        vx, vy = -uy, ux
+        if self.is_line:
+            return Point(self.mid.x + t * vx, self.mid.y + t * vy)
+        a = self.semi_axis
+        b = math.sqrt(self.focal_half_distance**2 - a**2)
+        cx = self.branch_sign * a * math.cosh(t)
+        cy = b * math.sinh(t)
+        return Point(self.mid.x + cx * ux + cy * vx, self.mid.y + cx * uy + cy * vy)
+
+    def abscissa(self, t: float) -> float:
+        """Canonical-frame x coordinate of ``point(t)``."""
+        if self.is_line:
+            return 0.0
+        return self.branch_sign * self.semi_axis * math.cosh(t)
+
+
+def bisector(d1: Disk, d2: Disk) -> Bisector:
+    """Bisector of two disks (a hyperbola branch, or a line for equal radii).
+    Raises ConcentricDisks for centers within ``TOL`` and EmptyBisector when
+    one disk additively dominates the other."""
+    ax, ay, ra = d1.center.x, d1.center.y, d1.radius
+    bx, by, rb = d2.center.x, d2.center.y, d2.radius
+    dx, dy = bx - ax, by - ay
+    dist = math.hypot(dx, dy)
+    if dist <= TOL:
+        raise ConcentricDisks("the disks are concentric")
+    semi = abs(rb - ra) / 2.0
+    half = dist / 2.0
+    if semi >= half:
+        raise EmptyBisector("the disks have no equidistant point")
+    mid = Point((ax + bx) / 2.0, (ay + by) / 2.0)
+    axis = (dx / dist, dy / dist)
+    if ra == rb:
+        return Bisector(0.0, half, None, mid, axis, -1)
+    sign = -1 if ra < rb else 1
+    return Bisector(semi, half, half / semi, mid, axis, sign)
 
 
 def _polish_vertex(x: float, y: float, r: float, cs, rs) -> tuple[float, float, float] | None:

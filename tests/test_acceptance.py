@@ -20,12 +20,9 @@ from pupilcover import (
     PupilConfig,
     QuadraticProgram,
     alpha_star,
-    bisector,
-    bisector_point,
     build_acs,
     coverage_oracle,
     decide,
-    delta,
     delta_min,
     difference_cover_sequence,
     exhaustive_search,
@@ -40,7 +37,8 @@ from pupilcover import (
     verify_difference_cover,
 )
 from pupilcover.geom import Disk
-from tests.conftest import acs_disks, acs_of_disks, near_collinear_start, random_config
+from tests.conftest import acs_disks, near_collinear_start, random_config
+from tests.reference import bisector, delta
 from tests.test_solver import _enumerate_vertices, _projected_gradient
 
 
@@ -245,12 +243,11 @@ def test_09_bisector_profile_numerics():
             continue
         pairs += 1
         disks = [Disk(c1, r1), Disk(c2, r2)]
-        acs = acs_of_disks(disks)
-        b = bisector(acs, 0, 1)
+        b = bisector(*disks)
         ts = np.linspace(-3.0, 3.0, 200)
         vals = []
         for t in ts:
-            pt = bisector_point(b, float(t))
+            pt = b.point(float(t))
             vals.append(delta(disks[0], pt))
             measured = pt.distance_to(c1)
             predicted = abs(b.eccentricity * b.abscissa(float(t)) + b.semi_axis)

@@ -9,21 +9,15 @@ import pupilcover.apollonius
 import pupilcover.coverage
 from pupilcover import (
     TOL,
-    ConcentricDisks,
     DegenerateTriple,
     Disk,
-    EmptyBisector,
     Point,
     Pupil,
     PupilConfig,
     VertexSet,
     alpha_star,
-    bisector,
-    bisector_point,
-    boundary_crossings,
     build_acs,
     decide,
-    delta,
     delta_min,
     is_global_vertex,
     per_disk_alpha,
@@ -31,12 +25,13 @@ from pupilcover import (
     tri_disk_vertices,
     vertex_sets,
 )
-from pupilcover.apollonius import (BOUNDARY_CROSSING, INTERIOR_VERTEX, _live_disks, _seeds,
-                                   _solve_triples, _witness_table)
+from pupilcover.apollonius import (BOUNDARY_CROSSING, INTERIOR_VERTEX, _live_disks, _rim_witnesses,
+                                   _seeds, _solve_triples, _witness_table)
 from pupilcover.coverage import build_analysis
 from pupilcover.geom import _first_copies
 from tests import reference
 from tests.conftest import acs_disks, acs_of_disks, g4_lattice, near_collinear_start
+from tests.reference import ConcentricDisks, EmptyBisector, bisector, delta
 from tests.test_coverage import _G4_LATTICES
 
 
@@ -57,58 +52,53 @@ def _random_disk_pair(rng, distinct_radii=True):
 
 
 def test_bisector_equal_radii_is_line():
-    acs = acs_of_disks([Disk(Point(-1, 0), 0.4), Disk(Point(1, 0), 0.4)])
-    b = bisector(acs, 0, 1)
+    d1, d2 = Disk(Point(-1, 0), 0.4), Disk(Point(1, 0), 0.4)
+    b = bisector(d1, d2)
     assert b.is_line
     for t in (-2.0, -0.5, 0.0, 1.0, 3.0):
-        pt = bisector_point(b, t)
+        pt = b.point(t)
         assert pt.x == pytest.approx(0.0, abs=1e-12)  # the line x = 0
-        assert abs(delta(acs_disks(acs)[0], pt) - delta(acs_disks(acs)[1], pt)) <= 1e-9
+        assert abs(delta(d1, pt) - delta(d2, pt)) <= 1e-9
     # line parameter is the signed distance from the midpoint
-    assert bisector_point(b, 1.5).distance_to(Point(0, 0)) == pytest.approx(1.5)
-    assert bisector_point(b, -1.5).distance_to(Point(0, 0)) == pytest.approx(1.5)
+    assert b.point(1.5).distance_to(Point(0, 0)) == pytest.approx(1.5)
+    assert b.point(-1.5).distance_to(Point(0, 0)) == pytest.approx(1.5)
 
 
 def test_bisector_hyperbola_parameters():
-    acs = acs_of_disks([Disk(Point(-1, 0), 0.0), Disk(Point(1, 0), 1.0)])
-    b = bisector(acs, 0, 1)
+    b = bisector(Disk(Point(-1, 0), 0.0), Disk(Point(1, 0), 1.0))
     assert b.semi_axis == pytest.approx(0.5)
     assert b.focal_half_distance == pytest.approx(1.0)
     assert b.eccentricity == pytest.approx(2.0)
     # branch opens toward the smaller (zero-radius) disk
-    apex = bisector_point(b, 0.0)
+    apex = b.point(0.0)
     assert apex.x == pytest.approx(-0.5)
     assert apex.y == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bisector_concentric_raises():
-    acs = acs_of_disks([Disk(Point(0, 0), 0.2), Disk(Point(0, 0), 0.5)])
     with pytest.raises(ConcentricDisks):
-        bisector(acs, 0, 1)
+        bisector(Disk(Point(0, 0), 0.2), Disk(Point(0, 0), 0.5))
 
 
 def test_bisector_dominated_pair_raises():
-    acs = acs_of_disks([Disk(Point(0, 0), 1.0), Disk(Point(0.2, 0), 0.1)])
     with pytest.raises(EmptyBisector):
-        bisector(acs, 0, 1)
+        bisector(Disk(Point(0, 0), 1.0), Disk(Point(0.2, 0), 0.1))
 
 
 def test_bisector_defining_property(rng):
     for _ in range(30):
         d1, d2 = _random_disk_pair(rng, distinct_radii=False)
-        acs = acs_of_disks([d1, d2])
-        b = bisector(acs, 0, 1)
+        b = bisector(d1, d2)
         for t in np.linspace(-3, 3, 41):
-            pt = bisector_point(b, float(t))
+            pt = b.point(float(t))
             assert abs(delta(d1, pt) - delta(d2, pt)) <= 1e-9
 
 
 def test_bisector_point_injective_and_continuous(rng):
     d1, d2 = _random_disk_pair(rng)
-    acs = acs_of_disks([d1, d2])
-    b = bisector(acs, 0, 1)
+    b = bisector(d1, d2)
     ts = np.linspace(-2, 2, 101)
-    pts = [bisector_point(b, float(t)) for t in ts]
+    pts = [b.point(float(t)) for t in ts]
     for p, q in zip(pts, pts[1:]):
         assert p.distance_to(q) > 0
         assert p.distance_to(q) < 0.5  # small parameter steps move points a little
@@ -119,10 +109,9 @@ def test_unimodal_distance_profile(rng):
     then rises again (checked at the apex-centered parametrization)."""
     for _ in range(30):
         d1, d2 = _random_disk_pair(rng, distinct_radii=False)
-        acs = acs_of_disks([d1, d2])
-        b = bisector(acs, 0, 1)
+        b = bisector(d1, d2)
         ts = np.linspace(-3, 3, 200)
-        vals = [delta(d1, bisector_point(b, float(t))) for t in ts]
+        vals = [delta(d1, b.point(float(t))) for t in ts]
         k = int(np.argmin(vals))
         for i in range(k):
             assert vals[i + 1] <= vals[i] + 1e-9
@@ -135,11 +124,10 @@ def test_focal_distance_linear_law(rng):
     canonical frame."""
     for _ in range(30):
         d1, d2 = _random_disk_pair(rng, distinct_radii=True)
-        acs = acs_of_disks([d1, d2])
-        b = bisector(acs, 0, 1)
+        b = bisector(d1, d2)
         e = b.eccentricity
         for t in np.linspace(-3, 3, 50):
-            pt = bisector_point(b, float(t))
+            pt = b.point(float(t))
             x = b.abscissa(float(t))
             measured = pt.distance_to(d1.center)
             assert measured == pytest.approx(abs(e * x + b.semi_axis), abs=1e-6)
@@ -150,14 +138,13 @@ def test_cell_edge_arc_stays_in_spanning_disk(rng):
     center that contains the arc endpoints (consequence of unimodality)."""
     for _ in range(20):
         d1, d2 = _random_disk_pair(rng, distinct_radii=False)
-        acs = acs_of_disks([d1, d2])
-        b = bisector(acs, 0, 1)
+        b = bisector(d1, d2)
         t1, t2 = sorted(rng.uniform(-2.5, 2.5, size=2))
-        p = bisector_point(b, float(t1))
-        q = bisector_point(b, float(t2))
+        p = b.point(float(t1))
+        q = b.point(float(t2))
         span = max(p.distance_to(d1.center), q.distance_to(d1.center))
         for t in np.linspace(t1, t2, 30):
-            assert bisector_point(b, float(t)).distance_to(d1.center) <= span + 1e-9
+            assert b.point(float(t)).distance_to(d1.center) <= span + 1e-9
 
 
 def test_tri_disk_equilateral_centroid():
@@ -341,9 +328,20 @@ def test_is_global_vertex():
     assert not is_global_vertex(acs, pt, val + 0.1)
 
 
+def _rim_pair(acs, a, b, radius):
+    """The rim crossings of the pair (a, b) at which both disks attain the
+    minimal additive distance over the disks of ``acs``: the witness table's
+    rim stage, ``_rim_witnesses``, on that one pair, as points sorted by
+    angle."""
+    c = acs.centers
+    px, py, _, _ = _rim_witnesses(c[:, 0], c[:, 1], acs.radii, np.array([a]), np.array([b]), radius)
+    return sorted((Point(x, y) for x, y in zip(px.tolist(), py.tolist())),
+                  key=lambda p: math.atan2(p.y, p.x))
+
+
 def test_boundary_crossings_symmetric_pair():
     acs = acs_of_disks([Disk(Point(-1, 0), 1.0), Disk(Point(1, 0), 1.0)])
-    pts = boundary_crossings(acs, 0, 1, 2.0)
+    pts = _rim_pair(acs, 0, 1, 2.0)
     ys = sorted(round(p.y, 9) for p in pts)
     assert len(pts) == 2
     assert ys == [-2.0, 2.0]
@@ -354,22 +352,23 @@ def test_boundary_crossings_no_intersection():
     acs = acs_of_disks([Disk(Point(-0.1, 0), 0.2), Disk(Point(0.1, 0), 0.2)])
     # bisector is the y-axis, which meets |x| = R; move the pair far away instead
     acs = acs_of_disks([Disk(Point(5.0, 0), 0.2), Disk(Point(6.0, 0), 0.2)])
-    pts = boundary_crossings(acs, 0, 1, 1.0)
+    pts = _rim_pair(acs, 0, 1, 1.0)
     assert pts == []
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("a, b", [(1, 1), (2, 2), (1, 3), (3, 1)])
 def test_boundary_crossings_concentric_raises(a, b):
-    """The same disk twice, or two centers within TOL, has no bisector:
-    ``boundary_crossings`` raises ConcentricDisks as ``bisector`` does, with
-    no numpy warning on the way."""
+    """The same disk twice, or two centers within TOL, has no bisector: the
+    reference raises ConcentricDisks, and the witness table, whose pair
+    filter drops such pairs before the rim and triple stages, is built on
+    these disks with no numpy warning."""
     acs = acs_of_disks([Disk(Point(-0.5, 0.2), 0.3), Disk(Point(0.1, 0.4), 0.2),
                         Disk(Point(0.3, -0.2), 0.2), Disk(Point(0.1, 0.4 + 0.5 * TOL), 0.25)])
+    disks = acs_disks(acs)
     with pytest.raises(ConcentricDisks):
-        bisector(acs, a, b)
-    with pytest.raises(ConcentricDisks):
-        boundary_crossings(acs, a, b, 1.0)
+        bisector(disks[a], disks[b])
+    _witness_table(acs, 1.0)
 
 
 def test_boundary_crossings_residuals(rng):
@@ -377,7 +376,7 @@ def test_boundary_crossings_residuals(rng):
         d1, d2 = _random_disk_pair(rng, distinct_radii=False)
         acs = acs_of_disks([d1, d2])
         radius = float(rng.uniform(0.5, 2.0))
-        for pt in boundary_crossings(acs, 0, 1, radius):
+        for pt in _rim_pair(acs, 0, 1, radius):
             assert abs(pt.norm() - radius) <= 1e-9
             assert abs(delta(d1, pt) - delta(d2, pt)) <= 1e-9
 
@@ -387,18 +386,6 @@ def test_non_finite_or_non_positive_radius_raises(radius):
     acs = acs_of_disks([Disk(Point(-1, 0), 1.0), Disk(Point(1, 0), 1.0), Disk(Point(0, 1), 0.5)])
     with pytest.raises(ValueError, match="finite and positive"):
         vertex_sets(acs, radius)
-    with pytest.raises(ValueError, match="finite and positive"):
-        boundary_crossings(acs, 0, 1, radius)
-
-
-@pytest.mark.parametrize("a, b", [(-1, 1), (0, -3), (3, 0), (1, 7), (1.0, 0), (True, 2)])
-def test_disk_index_outside_acs_raises(a, b):
-    acs = acs_of_disks([Disk(Point(-1, 0), 0.2), Disk(Point(1, 0), 0.4), Disk(Point(0, 1), 0.3)])
-    with pytest.raises(ValueError, match=r"not an integer in 0\.\.2"):
-        bisector(acs, a, b)
-    with pytest.raises(ValueError, match=r"not an integer in 0\.\.2"):
-        boundary_crossings(acs, a, b, 2.0)
-    assert bisector(acs, np.int64(0), np.intp(2)).disk_b == 2
 
 
 def _turned(x, y, phi):
@@ -428,7 +415,7 @@ def _close_crossing_pairs():
 def test_boundary_crossings_closer_than_a_grid_step(disks, radius):
     acs = acs_of_disks(disks)
     assert _scan_crossings(acs, 0, 1, radius) == []  # the former grid scan misses both
-    pts = boundary_crossings(acs, 0, 1, radius)
+    pts = _rim_pair(acs, 0, 1, radius)
     assert len(pts) == 2
     angles = [math.atan2(p.y, p.x) - _HALF_STEP for p in pts]
     assert angles == pytest.approx([-0.002, 0.002], abs=2e-5)
@@ -444,7 +431,7 @@ def test_boundary_crossings_closer_than_a_grid_step(disks, radius):
     ([Disk(_turned(0.8, 0.0, 0.3), 0.05), Disk(_turned(0.2, 0.0, 0.3), 0.25)], 0.6, 0.3),
 ], ids=["line", "hyperbola"])
 def test_boundary_crossings_tangent_bisector(disks, radius, touch):
-    pts = boundary_crossings(acs_of_disks(disks), 0, 1, radius)
+    pts = _rim_pair(acs_of_disks(disks), 0, 1, radius)
     assert len(pts) == 1
     assert pts[0].distance_to(_turned(radius, 0.0, touch)) <= 1e-8
     assert abs(pts[0].norm() - radius) <= 1e-12
@@ -463,7 +450,7 @@ def test_boundary_crossings_equal_radii_line(rng):
         nx, ny = d2.center.x - d1.center.x, d2.center.y - d1.center.y
         norm = math.hypot(nx, ny)
         offset = ((d1.center.x + d2.center.x) * nx + (d1.center.y + d2.center.y) * ny) / (2.0 * norm)
-        pts = boundary_crossings(acs_of_disks([d1, d2]), 0, 1, radius)
+        pts = _rim_pair(acs_of_disks([d1, d2]), 0, 1, radius)
         if abs(offset) >= radius:
             assert pts == []
             continue

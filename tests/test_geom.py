@@ -11,12 +11,11 @@ from pupilcover import (
     Pupil,
     PupilConfig,
     build_acs,
-    delta,
     delta_min,
-    minkowski_diff,
     prime_design,
 )
 from tests.conftest import acs_disks, g4_lattice, random_config
+from tests.reference import delta, minkowski_diff
 
 
 def test_delta_center_boundary_outside():

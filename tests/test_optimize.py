@@ -18,7 +18,7 @@ from pupilcover import (
     minimize_sum_radii,
     move_pupils,
     per_disk_alpha,
-    relocation_objective,
+    prime_design,
     relocation_targets,
     solve_lp,
     solve_qp,
@@ -27,6 +27,7 @@ from pupilcover.coverage import DIAMETRAL, build_analysis
 from pupilcover.geom import TOL
 from pupilcover.optimize import _entry, _relocation_rows, _solve_relocation
 from tests.conftest import count_calls, g4_lattice, near_collinear_start, random_config
+from tests.reference import relocation_objective
 
 
 def _row_arrays(rows):
@@ -296,6 +297,20 @@ def test_radius_loop_sum_never_rises_after_first_pass(loop):
         assert trace.iterations[-1].covered
 
 
+def test_minarea_on_the_p2_design_stops_on_a_tied_sum():
+    """On the p = 2 prime design the second area pass returns the radii of
+    the first to about 4e-15, and their sums, taken left to right as the
+    trace reports them, are equal.  The loop reads that as convergence, not
+    as a rise: it ends with the final ``decide`` entry, three in all.  A
+    rise test that took numpy's pairwise sum of the new radii read the tie
+    as a rise of 3e-14 and stopped after two entries."""
+    trace = minimize_area(prime_design(4.0, 1.0 / math.sqrt(2.0)).config)
+    sums = [e.sum_of_radii for e in trace.iterations]
+    assert len(sums) == 3 and sums[1] == sums[2], sums
+    assert all(e.covered for e in trace.iterations)
+    assert sum(trace.final_config.radii) == sums[-1]
+
+
 def test_move_builds_one_analysis_per_configuration(monkeypatch):
     """k passes analyse the start and the k moved configurations once each:
     k + 1 witness builds, where a decide plus a relocation_targets per
@@ -361,10 +376,11 @@ def _radius_loop_by_public_views(cfg, opts, objective):
             rho = solve_lp(LinearProgram(np.ones(n), a, rhs, lb))
         else:
             rho = solve_qp(QuadraticProgram(2.0 * math.pi * np.eye(n), np.zeros(n), a, rhs, lb))
-        err = float(sum(current.radii)) - float(rho.sum())
+        rho = np.maximum(rho, 0.0)
+        err = sum(current.radii) - sum(rho.tolist())
         if iteration >= 2 and err < 0.0 and pending.covered:
             return entries, current
-        current = current.with_radii(np.maximum(rho, 0.0))
+        current = current.with_radii(rho)
         pending = _entry(current, False)
         if iteration >= 2 and err < opts.epsilon:
             break

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,34 @@ def test_tracer_degenerate_triple_imports():
     from pupilcover.apollonius import DegenerateTriple
 
     assert issubclass(DegenerateTriple, ValueError)
+
+
+#: Public names retired from the package; their test references live in
+#: ``tests/reference.py`` (the bisector, ``delta``, ``minkowski_diff`` and
+#: ``relocation_objective``) or in the rim stage ``_rim_witnesses``
+#: (``boundary_crossings``).
+_RETIRED = ("Bisector", "ConcentricDisks", "EmptyBisector", "bisector", "bisector_point",
+            "boundary_crossings", "delta", "minkowski_diff", "relocation_objective")
+
+_MODULES = [m.name for m in pkgutil.iter_modules(importlib.import_module("pupilcover").__path__)]
+
+
+def test_star_import_binds_exactly_the_export_list():
+    import pupilcover
+
+    names: dict = {}
+    exec("from pupilcover import *", names)
+    assert set(names) - {"__builtins__"} == set(pupilcover.__all__)
+    assert all(getattr(pupilcover, name, None) is not None for name in pupilcover.__all__)
+
+
+def test_export_list_is_sorted_without_duplicates():
+    import pupilcover
+
+    assert pupilcover.__all__ == sorted(set(pupilcover.__all__))
+
+
+@pytest.mark.parametrize("home", ("", *_MODULES))
+def test_retired_names_are_gone(home):
+    module = importlib.import_module(f"pupilcover.{home}" if home else "pupilcover")
+    assert [name for name in _RETIRED if hasattr(module, name)] == []
