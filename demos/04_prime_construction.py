@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Equal-radius designs from prime difference covers: the 4p-term sequence,
 its verification, and the 16 p^2 pupil construction with its approximation
-ratio against the trivial lower bound."""
+ratio against the area lower bound ceil((1 + sqrt(R^2 / rho^2 - 3)) / 2)."""
 
 import math
 
@@ -24,8 +24,7 @@ for p in (2, 3):
     print(
         f"\nR = {p * p}, pupil radius 1/sqrt(2): {design.count} pupils "
         f"(16 p^2 with p = {design.p}), covered = {ok}, "
-        f"count / ceil(R/rho) = {design.approximation_ratio:.3f} "
-        f"(bound 8*sqrt(2) = {8 * math.sqrt(2):.3f})"
+        f"count / area bound = {design.approximation_ratio:.3f}"
     )
 
 # A non-canonical radius: the prime rounds up, the ratio reports the slack.

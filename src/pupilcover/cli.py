@@ -27,7 +27,7 @@ import time
 from . import coverage, design, optimize
 from .geom import Point, Pupil, PupilConfig
 from .optimize import OptimizerConfig, OptimizerTrace
-from .solver import Infeasible, NumericalError, Unbounded
+from .solver import Infeasible, NumericalError
 from .svg import LAYERS, render_svg
 
 
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     except (ConfigError, design.InvalidRadius, design.NotPrime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (Infeasible, Unbounded, NumericalError, optimize.IterationLimit,
+    except (Infeasible, NumericalError, optimize.IterationLimit,
             optimize.SearchSpaceTooLarge, coverage.NoCoverage) as exc:
         _emit(
             {

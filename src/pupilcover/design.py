@@ -121,8 +121,13 @@ class PrimeDesign:
 
     @property
     def approximation_ratio(self) -> float:
-        """Pupil count over the easy lower bound ceil(R / rho)."""
-        return self.count / _safe_ceil(self.objective_radius / self.pupil_radius)
+        """Pupil count over the area lower bound for pupils of radius rho.
+        Their difference disks have radius 2 rho and the n diagonal ones are
+        the origin disk, so at most n^2 - n + 1 distinct disks cover the
+        objective: (n^2 - n + 1) 4 rho^2 >= R^2, that is
+        n >= (1 + sqrt(R^2 / rho^2 - 3)) / 2."""
+        ratio = self.objective_radius / self.pupil_radius
+        return self.count / _safe_ceil((1.0 + math.sqrt(ratio * ratio - 3.0)) / 2.0)
 
 
 def prime_design(objective_radius: float, rho: float) -> PrimeDesign:

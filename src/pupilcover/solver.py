@@ -1,22 +1,21 @@
 """Small dense linear and strictly convex quadratic program solvers.
 
 Problems have tens of variables and up to a few thousand rows (the radius
-program of the p = 2 prime design has 2,192), and both solvers are dense and
-self-contained: a two-phase tableau simplex with Bland's rule for
-determinism, and the dual active-set method of Goldfarb and Idnani for QPs
-with a positive definite Q.  The QP method starts at the unconstrained
-minimum and adds violated rows one at a time, so it needs no phase 1 and no
-feasible start.  Constraint rows are one (rows, n) matrix ``a`` and one
-(rows,) vector ``b`` meaning ``a @ x >= b``; the solvers stack them with the
-finite bound rows and never handle a row on its own.  Each solve is
-certified post hoc from scratch (feasibility, dual signs and complementary
-slackness for the LP; the KKT residuals for the QP), each check one matrix
-product over all rows.
+program of the p = 2 prime design has 2,192), and both solvers are dense,
+self-contained dual methods that need no phase 1 and no feasible start:
+the dual simplex from the bound vertex with Bland's rule for LPs whose
+negative costs have finite upper bounds, and the dual active-set method of
+Goldfarb and Idnani for QPs with a positive definite Q.  Both keep a
+working set of rows that hold with equality, start where the multipliers
+are already nonnegative (the bound vertex, the unconstrained minimum) and
+add violated rows one at a time.  Constraint rows are one (rows, n) matrix
+``a`` and one (rows,) vector ``b`` meaning ``a @ x >= b``; the solvers stack
+them with the finite bound rows and never handle a row on its own.  Each
+solve is certified post hoc from scratch by one KKT check, each condition
+one matrix product over all rows.
 
-Bland's entering column, the ratio test and the QP's most violated row and
-first falling multiplier are array scans over the rows or columns that
-qualify, taken in index order with the sequential tie rules; only the
-tableau update walks its rows (see ``_pivot``).
+The violated row, the ratio test and the blocking multiplier are array
+scans over the rows that qualify, with the tie rules of the sequential scan.
 """
 
 from __future__ import annotations
@@ -29,10 +28,6 @@ import numpy as np
 
 class Infeasible(Exception):
     """The constraint system admits no solution."""
-
-
-class Unbounded(Exception):
-    """The objective decreases without bound over the feasible set."""
 
 
 class NumericalError(Exception):
@@ -56,7 +51,8 @@ def _matrix(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class LinearProgram:
     """minimize objective @ x  subject to  a @ x >= b row by row,
-    lower_bounds <= x (<= upper_bounds when given)."""
+    lower_bounds <= x (<= upper_bounds when given).  A negative objective
+    entry needs a finite upper bound, so no program is unbounded."""
 
     objective: np.ndarray
     a: np.ndarray
@@ -73,6 +69,9 @@ class LinearProgram:
             raise ValueError("lower_bounds must be finite")
         if self.upper_bounds is not None:
             self.upper_bounds = _vector(self.upper_bounds, n, "upper_bounds")
+        upper = np.inf if self.upper_bounds is None else self.upper_bounds
+        if np.any((self.objective < 0.0) & ~np.isfinite(upper)):
+            raise ValueError("a negative objective entry needs a finite upper bound")
 
 
 @dataclass
@@ -108,94 +107,6 @@ class QuadraticProgram:
             self.upper_bounds = _vector(self.upper_bounds, n, "upper_bounds")
 
 
-_PIVOT_TOL = 1e-11
-_COST_TOL = 1e-9
-
-
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    # The update stays an in-place loop over the rows with a nonzero entry.
-    # On the 2,193 x 4,449 tableau of the p = 2 radius program, gathering
-    # those rows and scattering them back took about 3x as long per pivot,
-    # and one np.outer update about 19x (first 100 pivots, 2 cores).
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
-    basis[row] = col
-
-
-def _run_simplex(tableau: np.ndarray, basis: list[int], allowed: int) -> None:
-    """Bland's rule iterations on the last (cost) row; columns >= ``allowed``
-    never enter.  Raises Unbounded when a ratio test fails."""
-    m = tableau.shape[0] - 1
-    for _ in range(20000):
-        improving = np.flatnonzero(tableau[-1, :allowed] < -_COST_TOL)
-        if improving.size == 0:
-            return
-        entering = int(improving[0])
-        rows = np.flatnonzero(tableau[:m, entering] > _PIVOT_TOL)
-        ratios = tableau[rows, -1] / tableau[rows, entering]
-        best_ratio = math.inf
-        leaving = -1
-        for r, ratio in zip(rows.tolist(), ratios.tolist()):
-            tie = 1e-12 * (1.0 + abs(best_ratio) if math.isfinite(best_ratio) else 1.0)
-            if ratio < best_ratio - tie or (
-                abs(ratio - best_ratio) <= tie and (leaving < 0 or basis[r] < basis[leaving])
-            ):
-                best_ratio = ratio
-                leaving = r
-        if leaving < 0:
-            raise Unbounded("no ratio limit for an improving direction")
-        _pivot(tableau, basis, leaving, entering)
-    raise NumericalError("simplex iteration limit exceeded")
-
-
-def _simplex_standard(cost: np.ndarray, eq: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """min cost @ z  s.t.  eq @ z = rhs, z >= 0 (rhs is made nonnegative by
-    row sign flips).  Two phases with artificial variables."""
-    m, nv = eq.shape
-    eq = eq.copy()
-    rhs = rhs.copy()
-    flip = rhs < 0
-    eq[flip] *= -1.0
-    rhs[flip] *= -1.0
-
-    total = nv + m
-    tableau = np.zeros((m + 1, total + 1))
-    tableau[:m, :nv] = eq
-    tableau[:m, nv:total] = np.eye(m)
-    tableau[:m, -1] = rhs
-    basis = list(range(nv, total))
-    # Phase-1 reduced costs for min(sum of artificials).
-    tableau[-1, :] = 0.0
-    tableau[-1, :nv] = -eq.sum(axis=0)
-    tableau[-1, -1] = -rhs.sum()
-    _run_simplex(tableau, basis, allowed=nv)
-    if -tableau[-1, -1] > 1e-9 * max(1.0, float(np.abs(rhs).max(initial=0.0))):
-        raise Infeasible("phase-1 optimum is positive")
-
-    # Drive leftover artificials out of the basis, each on its first real
-    # column with a usable pivot.  ``solve_lp`` gives every row its own slack
-    # column, so a row without one is a numerical failure, not a redundancy.
-    for r in np.flatnonzero(np.array(basis) >= nv).tolist():
-        piv = np.flatnonzero(np.abs(tableau[r, :nv]) > _PIVOT_TOL)
-        if piv.size == 0:
-            raise NumericalError("no real column can replace a zero artificial")
-        _pivot(tableau, basis, r, int(piv[0]))
-
-    # Phase 2 on the real objective.  The basic columns are unit columns, so
-    # a row's update leaves the costs of the other basic columns unchanged.
-    tableau[-1, :] = 0.0
-    tableau[-1, :nv] = cost
-    for r in np.flatnonzero(tableau[-1, basis]).tolist():
-        tableau[-1] -= tableau[-1, basis[r]] * tableau[r]
-    _run_simplex(tableau, basis, allowed=nv)
-
-    z = np.zeros(tableau.shape[1] - 1)
-    z[basis] = tableau[:m, -1]
-    return z[:nv], basis
-
-
 def _with_bounds(a: np.ndarray, b: np.ndarray, lower: np.ndarray | None,
                  upper: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """``a @ x >= b`` stacked with x_i >= lower_i for every finite lower
@@ -212,51 +123,55 @@ def _with_bounds(a: np.ndarray, b: np.ndarray, lower: np.ndarray | None,
     return np.vstack(rows), np.concatenate(rhs)
 
 
+def _short_rows(rows: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slack of every row at x, and the rows short of their right side.
+    The tolerance is per row, so that a huge bound row hides no real
+    violation."""
+    slack = rows @ x - rhs
+    tol = 1e-12 * (1.0 + np.abs(rhs) + float(np.abs(x).max(initial=0.0)))
+    return slack, np.flatnonzero(slack < -tol)
+
+
 def solve_lp(lp: LinearProgram) -> np.ndarray:
-    """Optimal vertex of the linear program, deterministic via Bland's rule.
-    The result is certified from scratch: primal feasibility, nonnegative row
-    duals, complementary slackness and a closed duality gap."""
-    n = lp.objective.shape[0]
-    # All rows in 'rows @ y >= rhs' form over the shifted variable y = x - lb.
-    lb, ub = lp.lower_bounds, lp.upper_bounds
-    rows, rhs = _with_bounds(lp.a, lp.b - lp.a @ lb, None, None if ub is None else ub - lb)
+    """Optimal vertex of the linear program by the dual simplex method
+    (Lemke 1954) over the stacked rows, with Bland's rule (1977) for
+    determinism.  The working set starts as the n bound rows: the lower bound
+    where the cost is nonnegative, the upper bound where it is negative.  That
+    vertex is dual feasible, so no phase 1 is needed.  Each step solves the
+    working rows for x, adds the violated row of lowest index and drops the
+    working row whose multiplier reaches zero first, the lowest row index on
+    ties.  A row that no working row can make room for proves the rows
+    infeasible.  The returned vertex satisfies the KKT conditions to 1e-8."""
+    c = lp.objective
+    n = c.shape[0]
+    rows, rhs = _with_bounds(lp.a, lp.b, lp.lower_bounds, lp.upper_bounds)
     m = rows.shape[0]
-    # Standard form: rows @ y - s = rhs with y, s >= 0.
-    eq = np.hstack([rows, -np.eye(m)])
-    cost = np.concatenate([lp.objective, np.zeros(m)])
-    z, basis = _simplex_standard(cost, eq, rhs)
-    y = z[:n]
-    x = y + lp.lower_bounds
-
-    _certify_lp(lp, x, cost, eq, rhs, z, basis)
-    return x
-
-
-def _certify_lp(lp, x, cost, eq, rhs, z, basis) -> None:
-    scale = 1.0 + float(np.abs(x).max(initial=0.0)) + float(np.abs(lp.objective).max(initial=0.0))
-    if np.any(lp.a @ x < lp.b - 1e-9 * scale):
-        raise NumericalError("primal constraint violated beyond tolerance")
-    if np.any(x < lp.lower_bounds - 1e-9 * scale):
-        raise NumericalError("lower bound violated beyond tolerance")
-    if lp.upper_bounds is not None and np.any(x > lp.upper_bounds + 1e-9 * scale):
-        raise NumericalError("upper bound violated beyond tolerance")
-    m, total = eq.shape
-    if m == 0:
-        return
-    cols = eq[:, basis]
-    try:
-        duals = np.linalg.solve(cols.T, cost[basis])
-    except np.linalg.LinAlgError:
-        duals, *_ = np.linalg.lstsq(cols.T, cost[basis], rcond=None)
-    reduced = cost[:total] - eq.T @ duals
-    if reduced.min(initial=0.0) < -1e-7 * scale:
-        raise NumericalError("negative reduced cost at claimed optimum")
-    # Complementary slackness: every positive variable has zero reduced cost.
-    if np.abs(reduced[np.flatnonzero(z[:total] > 1e-9)]).max(initial=0.0) > 1e-7 * scale:
-        raise NumericalError("complementary slackness violated")
-    gap = abs(float(cost[:total] @ z[:total]) - float(duals @ rhs))
-    if gap > 1e-7 * scale * max(1.0, float(np.abs(rhs).max(initial=0.0))):
-        raise NumericalError("duality gap not closed")
+    first = lp.a.shape[0]
+    working = np.arange(first, first + n)
+    if lp.upper_bounds is not None:
+        negative = np.flatnonzero(c < 0.0)
+        upper = np.flatnonzero(np.isfinite(lp.upper_bounds))
+        working[negative] = first + n + np.searchsorted(upper, negative)
+    for _ in range(100 * (m + 2)):
+        basis = rows[working]
+        x = np.linalg.solve(basis, rhs[working])
+        short = _short_rows(rows, rhs, x)[1]
+        if short.size == 0:
+            lam = np.linalg.solve(basis.T, c)
+            _certify(c, rows, rhs, x, lam, working)
+            return x
+        add = int(short[0])
+        # c = B^T lam and rows[add] = B^T u: per unit of the new row's
+        # multiplier, the working multipliers fall by u.
+        lam, u = np.linalg.solve(basis.T, np.column_stack([c, rows[add]])).T
+        falling = np.flatnonzero(u > 1e-12 * float(np.abs(u).max()))
+        if falling.size == 0:
+            raise Infeasible(f"row {add} cannot be satisfied together with the working rows")
+        ratios = np.maximum(lam[falling], 0.0) / u[falling]
+        low = float(ratios.min())
+        ties = falling[ratios <= low + 1e-12 * (1.0 + low)]
+        working[ties[np.argmin(working[ties])]] = add
+    raise NumericalError("dual simplex iteration limit exceeded")
 
 
 def solve_qp(qp: QuadraticProgram) -> np.ndarray:
@@ -280,12 +195,9 @@ def solve_qp(qp: QuadraticProgram) -> np.ndarray:
     add = -1
     for _ in range(100 * (m + 2)):
         if add < 0:
-            slack = rows @ x - rhs
-            # Per row, so that a huge bound row hides no real violation.
-            tol = 1e-12 * (1.0 + np.abs(rhs) + float(np.abs(x).max(initial=0.0)))
-            short = np.flatnonzero(slack < -tol)
+            slack, short = _short_rows(rows, rhs, x)
             if short.size == 0:
-                _certify_qp(qp, rows, rhs, x, lam, working)
+                _certify(qp.c, rows, rhs, x, lam, working, qp.Q @ x)
                 return x
             add = int(short[np.argmin(slack[short])])
             lam_add = 0.0
@@ -325,14 +237,18 @@ def solve_qp(qp: QuadraticProgram) -> np.ndarray:
     raise NumericalError("active-set iteration limit exceeded")
 
 
-def _certify_qp(qp, rows, rhs, x, lam, working) -> None:
-    scale = 1.0 + float(np.abs(x).max(initial=0.0)) + float(np.abs(qp.c).max(initial=0.0))
+def _certify(c, rows, rhs, x, lam, working, qx=0.0) -> None:
+    """The KKT conditions at x with multipliers lam on the working rows:
+    stationarity qx + c = A_W^T lam (qx = Q x for a QP, 0 for an LP), primal
+    feasibility, nonnegative multipliers and complementary slackness.  For
+    an LP these also close the duality gap c x - lam b_W."""
+    scale = 1.0 + float(np.abs(x).max(initial=0.0)) + float(np.abs(c).max(initial=0.0))
     active = rows[working]
-    stationarity = qp.Q @ x + qp.c - active.T @ lam
+    stationarity = qx + c - active.T @ lam
     if np.abs(stationarity).max(initial=0.0) > 1e-8 * scale:
         raise NumericalError("KKT stationarity residual too large")
     if np.any(rows @ x - rhs < -1e-8 * scale):
-        raise NumericalError("QP primal feasibility violated")
+        raise NumericalError("primal feasibility violated")
     if np.any(lam < -1e-8 * scale):
         raise NumericalError("negative multiplier at claimed optimum")
     if np.any(np.abs(lam * (active @ x - rhs[working])) > 1e-8 * scale):

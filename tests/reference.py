@@ -20,11 +20,16 @@
   norm so far tested with ``delta_min`` and ``_exposed``.
 - Two-sided bounds on alpha*, the largest minimal additive distance over
   the objective, by Piyavskii-Shubert branch and bound over square cells.
-- A primal active-set QP solver: a feasible start from a phase-1 LP of
-  ``solve_lp`` inside a box of 1e4 times the largest right side, then one
-  working-set change per step.  It shares only the row stacking, ``solve_lp``
-  and the KKT certificate with ``pupilcover.solver.solve_qp``, the dual
-  active-set method, so the tests use it as that solver's reference.
+- A two-phase tableau simplex with Bland's rule for LPs, with one slack and
+  one artificial column per row and its own certificate from the basis.  It
+  shares only the row stacking with ``pupilcover.solver.solve_lp``, the dual
+  simplex from the bound vertex, so the tests use it as that solver's
+  reference.
+- A primal active-set QP solver: a feasible start from a phase-1 LP of the
+  tableau ``solve_lp`` inside a box of 1e4 times the largest right side, then
+  one working-set change per step.  It shares only the row stacking and the
+  KKT certificate with ``pupilcover.solver.solve_qp``, the dual active-set
+  method, so the tests use it as that solver's reference.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ import numpy as np
 from pupilcover.apollonius import _FINAL_RESIDUAL, _NEWTON_STEPS, DegenerateTriple
 from pupilcover.coverage import NoCoverage, _exposed
 from pupilcover.geom import TOL, Acs, Disk, Point, Pupil, PupilConfig, build_acs, delta_min
-from pupilcover.solver import (LinearProgram, NumericalError, QuadraticProgram, _certify_qp,
-                               _with_bounds, solve_lp)
+from pupilcover.solver import (Infeasible, LinearProgram, NumericalError, QuadraticProgram,
+                               _certify, _with_bounds)
 
 
 def delta(d: Disk, x: Point) -> float:
@@ -369,6 +374,140 @@ def alpha_star_bounds(cfg: PupilConfig, width: float) -> tuple[float, float]:
     return lb, max(lb, ub)
 
 
+_PIVOT_TOL = 1e-11
+_COST_TOL = 1e-9
+
+
+def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r] -= tableau[r, col] * tableau[row]
+    basis[row] = col
+
+
+def _run_simplex(tableau: np.ndarray, basis: list[int], allowed: int) -> None:
+    """Bland's rule iterations on the last (cost) row; columns >= ``allowed``
+    never enter.  A failed ratio test would mean an unbounded program, which
+    ``LinearProgram`` rules out."""
+    m = tableau.shape[0] - 1
+    for _ in range(20000):
+        improving = np.flatnonzero(tableau[-1, :allowed] < -_COST_TOL)
+        if improving.size == 0:
+            return
+        entering = int(improving[0])
+        rows = np.flatnonzero(tableau[:m, entering] > _PIVOT_TOL)
+        ratios = tableau[rows, -1] / tableau[rows, entering]
+        best_ratio = math.inf
+        leaving = -1
+        for r, ratio in zip(rows.tolist(), ratios.tolist()):
+            tie = 1e-12 * (1.0 + abs(best_ratio) if math.isfinite(best_ratio) else 1.0)
+            if ratio < best_ratio - tie or (
+                abs(ratio - best_ratio) <= tie and (leaving < 0 or basis[r] < basis[leaving])
+            ):
+                best_ratio = ratio
+                leaving = r
+        if leaving < 0:
+            raise NumericalError("no ratio limit for an improving direction")
+        _pivot(tableau, basis, leaving, entering)
+    raise NumericalError("simplex iteration limit exceeded")
+
+
+def _simplex_standard(cost: np.ndarray, eq: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """min cost @ z  s.t.  eq @ z = rhs, z >= 0 (rhs is made nonnegative by
+    row sign flips).  Two phases with artificial variables."""
+    m, nv = eq.shape
+    eq = eq.copy()
+    rhs = rhs.copy()
+    flip = rhs < 0
+    eq[flip] *= -1.0
+    rhs[flip] *= -1.0
+
+    total = nv + m
+    tableau = np.zeros((m + 1, total + 1))
+    tableau[:m, :nv] = eq
+    tableau[:m, nv:total] = np.eye(m)
+    tableau[:m, -1] = rhs
+    basis = list(range(nv, total))
+    # Phase-1 reduced costs for min(sum of artificials).
+    tableau[-1, :] = 0.0
+    tableau[-1, :nv] = -eq.sum(axis=0)
+    tableau[-1, -1] = -rhs.sum()
+    _run_simplex(tableau, basis, allowed=nv)
+    if -tableau[-1, -1] > 1e-9 * max(1.0, float(np.abs(rhs).max(initial=0.0))):
+        raise Infeasible("phase-1 optimum is positive")
+
+    # Drive leftover artificials out of the basis, each on its first real
+    # column with a usable pivot.  ``solve_lp`` gives every row its own slack
+    # column, so a row without one is a numerical failure, not a redundancy.
+    for r in np.flatnonzero(np.array(basis) >= nv).tolist():
+        piv = np.flatnonzero(np.abs(tableau[r, :nv]) > _PIVOT_TOL)
+        if piv.size == 0:
+            raise NumericalError("no real column can replace a zero artificial")
+        _pivot(tableau, basis, r, int(piv[0]))
+
+    # Phase 2 on the real objective.  The basic columns are unit columns, so
+    # a row's update leaves the costs of the other basic columns unchanged.
+    tableau[-1, :] = 0.0
+    tableau[-1, :nv] = cost
+    for r in np.flatnonzero(tableau[-1, basis]).tolist():
+        tableau[-1] -= tableau[-1, basis[r]] * tableau[r]
+    _run_simplex(tableau, basis, allowed=nv)
+
+    z = np.zeros(tableau.shape[1] - 1)
+    z[basis] = tableau[:m, -1]
+    return z[:nv], basis
+
+
+def solve_lp(lp: LinearProgram) -> np.ndarray:
+    """Optimal vertex of the linear program by a two-phase tableau simplex
+    with Bland's rule, over the variables shifted to y = x - lower_bounds and
+    one slack and one artificial column per row.  The result is certified
+    from its basis: primal feasibility, nonnegative reduced costs,
+    complementary slackness and a closed duality gap."""
+    n = lp.objective.shape[0]
+    # All rows in 'rows @ y >= rhs' form over the shifted variable y = x - lb.
+    lb, ub = lp.lower_bounds, lp.upper_bounds
+    rows, rhs = _with_bounds(lp.a, lp.b - lp.a @ lb, None, None if ub is None else ub - lb)
+    m = rows.shape[0]
+    # Standard form: rows @ y - s = rhs with y, s >= 0.
+    eq = np.hstack([rows, -np.eye(m)])
+    cost = np.concatenate([lp.objective, np.zeros(m)])
+    z, basis = _simplex_standard(cost, eq, rhs)
+    y = z[:n]
+    x = y + lp.lower_bounds
+
+    _certify_lp(lp, x, cost, eq, rhs, z, basis)
+    return x
+
+
+def _certify_lp(lp, x, cost, eq, rhs, z, basis) -> None:
+    scale = 1.0 + float(np.abs(x).max(initial=0.0)) + float(np.abs(lp.objective).max(initial=0.0))
+    if np.any(lp.a @ x < lp.b - 1e-9 * scale):
+        raise NumericalError("primal constraint violated beyond tolerance")
+    if np.any(x < lp.lower_bounds - 1e-9 * scale):
+        raise NumericalError("lower bound violated beyond tolerance")
+    if lp.upper_bounds is not None and np.any(x > lp.upper_bounds + 1e-9 * scale):
+        raise NumericalError("upper bound violated beyond tolerance")
+    m, total = eq.shape
+    if m == 0:
+        return
+    cols = eq[:, basis]
+    try:
+        duals = np.linalg.solve(cols.T, cost[basis])
+    except np.linalg.LinAlgError:
+        duals, *_ = np.linalg.lstsq(cols.T, cost[basis], rcond=None)
+    reduced = cost[:total] - eq.T @ duals
+    if reduced.min(initial=0.0) < -1e-7 * scale:
+        raise NumericalError("negative reduced cost at claimed optimum")
+    # Complementary slackness: every positive variable has zero reduced cost.
+    if np.abs(reduced[np.flatnonzero(z[:total] > 1e-9)]).max(initial=0.0) > 1e-7 * scale:
+        raise NumericalError("complementary slackness violated")
+    gap = abs(float(cost[:total] @ z[:total]) - float(duals @ rhs))
+    if gap > 1e-7 * scale * max(1.0, float(np.abs(rhs).max(initial=0.0))):
+        raise NumericalError("duality gap not closed")
+
+
 def _qp_feasible_start(rows: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
     # Synthetic box keeps phase 1 bounded; sized from the data so the tableau
     # stays well scaled, and generous enough to never bind at the optimum.
@@ -388,7 +527,7 @@ def solve_qp(qp: QuadraticProgram) -> np.ndarray:
             x = np.linalg.solve(qp.Q, -qp.c)
         except np.linalg.LinAlgError:
             x, *_ = np.linalg.lstsq(qp.Q, -qp.c, rcond=None)
-        _certify_qp(qp, rows, rhs, x, np.zeros(0), [])
+        _certify(qp.c, rows, rhs, x, np.zeros(0), [], qp.Q @ x)
         return x
 
     x = _qp_feasible_start(rows, rhs, n)
@@ -419,7 +558,7 @@ def solve_qp(qp: QuadraticProgram) -> np.ndarray:
         lam = -sol[n:]
         if np.abs(d).max(initial=0.0) <= 1e-11:
             if k == 0 or lam.min(initial=0.0) >= -1e-9:
-                _certify_qp(qp, rows, rhs, x, lam, working)
+                _certify(qp.c, rows, rhs, x, lam, working, qp.Q @ x)
                 return x
             drop = int(np.argmin(lam))
             working.pop(drop)

@@ -256,6 +256,22 @@ def test_minarea_with_a_huge_max_radius_solves(tmp_path, capsys):
     assert result["trace"]["final_config"]["pupils"][0]["r"] == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("pupils,radius_sum", [
+    (UNCOVERED["pupils"], 0.5),
+    ([*UNCOVERED["pupils"], {"x": 0.4, "y": 0.1, "r": 0.2}], 0.9),
+], ids=["one pupil", "two pupils"])
+def test_minsum_with_a_huge_max_radius_solves(tmp_path, capsys, pupils, radius_sum):
+    """Upper bounds of 1e20 on radii with a positive cost never enter the
+    dual simplex's working set, so they leave the radius program as it is."""
+    code, out, _ = run(capsys, "minsum", write_config(
+        tmp_path, {"objective_radius": 1.0, "pupils": pupils, "options": {"max_radius": 1e20}}))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["covered"] is True
+    radii = [p["r"] for p in result["trace"]["final_config"]["pupils"]]
+    assert sum(radii) == pytest.approx(radius_sum, abs=1e-9)
+
+
 @pytest.mark.parametrize("command,options", [
     ("exhaustive", {"theta": 10**400}),
     ("minsum", {"gauge": "g" * 1000}),

@@ -6,6 +6,7 @@ from pupilcover import (
     InvalidRadius,
     NotPrime,
     Point,
+    PrimeDesign,
     Pupil,
     PupilConfig,
     coverage_oracle,
@@ -125,10 +126,28 @@ def test_prime_design_covers_oracle():
 
 
 def test_prime_design_ratio_reported():
+    """At the canonical scale the area bound is 4 pupils for p = 2
+    (R / rho = 4 sqrt 2) and 7 for p = 3."""
     rho = 1.0 / math.sqrt(2.0)
-    pd = prime_design(4.0, rho)
-    # count / ceil(R / rho) stays at or below 8*sqrt(2) at the exact scale
-    assert pd.approximation_ratio <= 8.0 * math.sqrt(2.0) + 1e-9
+    assert prime_design(4.0, rho).approximation_ratio == 64 / 4
+    assert prime_design(9.0, rho).approximation_ratio == 144 / 7
+
+
+def test_ratio_bound_is_met_by_three_pupils_of_quarter_radius():
+    """Three pupils of radius R/4, 120 degrees apart on the circle of radius
+    R/2, cover the objective and stop covering when they shrink, so no
+    lower bound on the count of radius-R/4 pupils exceeds 3: ceil(R / rho)
+    = 4 is none.  The area bound is 3, and their ratio is 1."""
+    R = 1.0
+    angles = [2.0 * math.pi * k / 3.0 for k in range(3)]
+
+    def triangle(rho):
+        return [Pupil(Point(0.5 * R * math.cos(t), 0.5 * R * math.sin(t)), rho) for t in angles]
+
+    assert decide(PupilConfig(triangle(R / 4.0), R))[0]
+    assert not decide(PupilConfig(triangle(0.999 * R / 4.0), R))[0]
+    design = PrimeDesign(2, 0.0, tuple(triangle(R / 4.0)), R / 4.0, R)
+    assert design.approximation_ratio == 1.0
 
 
 def test_prime_design_general_radius_still_covers():

@@ -34,9 +34,11 @@ def test_tracer_degenerate_triple_imports():
 #: Public names retired from the package; their test references live in
 #: ``tests/reference.py`` (the bisector, ``delta``, ``minkowski_diff`` and
 #: ``relocation_objective``) or in the rim stage ``_rim_witnesses``
-#: (``boundary_crossings``).
-_RETIRED = ("Bisector", "ConcentricDisks", "EmptyBisector", "bisector", "bisector_point",
-            "boundary_crossings", "delta", "minkowski_diff", "relocation_objective")
+#: (``boundary_crossings``).  ``Unbounded`` left with the tableau simplex:
+#: ``LinearProgram`` admits no unbounded program.
+_RETIRED = ("Bisector", "ConcentricDisks", "EmptyBisector", "Unbounded", "bisector",
+            "bisector_point", "boundary_crossings", "delta", "minkowski_diff",
+            "relocation_objective")
 
 _MODULES = [m.name for m in pkgutil.iter_modules(importlib.import_module("pupilcover").__path__)]
 
