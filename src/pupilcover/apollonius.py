@@ -1,13 +1,16 @@
 """Additively weighted proximity structure over the ACS disks.
 
 Only what the covering algorithms need is built: the witness table, as
-arrays of points, owning disks and kind codes (``_witness_table``).  Its rows
-are the vertices and rim crossings of the paper's finite witness set: the
-points inside the objective at equal additive distance to three disks, and
-the points of the rim at equal distance to two, each where its disks attain
-the minimum (``coverage`` adds the diametral points).  No bisector is built:
-a triple's points come in closed form from its squared equations, and a
-pair's rim crossings are the unit roots of one quartic.
+arrays of points, owning disks, kind codes and values (``_witness_table``).
+Its rows are the paper's finite witness set, all three kinds: the points
+inside the objective at equal additive distance to three disks, the points
+of the rim at equal distance to two, each where its disks attain the
+minimum, and the rim point diametrically opposite a disk's center where the
+disk attains it.  One copy rule (``geom._first_copies``) drops the rows
+within 1e-8 of an earlier row of their owner, and each row carries its
+additive distance to its owner, which ``coverage`` reads.  No bisector is
+built: a triple's points come in closed form from its squared equations,
+and a pair's rim crossings are the unit roots of one quartic.
 
 The table is built in batched numpy stages.  A cell mask first keeps only
 the disks that can attain the minimum over the objective (``_live_disks``):
@@ -65,8 +68,9 @@ from .geom import TOL, Acs, Disk, Point, _first_copies, delta_min
 
 WitnessKind = Literal["interior_vertex", "boundary_crossing"]
 
-#: Kind codes of the witness table, and the ``WitnessKind`` of each.
-INTERIOR_VERTEX, BOUNDARY_CROSSING = 0, 1
+#: Kind codes of the witness table, and the ``WitnessKind`` of the first
+#: two; ``vertex_sets`` leaves out the diametral fallbacks.
+INTERIOR_VERTEX, BOUNDARY_CROSSING, DIAMETRAL = 0, 1, 2
 _KIND_NAMES: tuple[WitnessKind, ...] = ("interior_vertex", "boundary_crossing")
 
 # Chunk sizes of the batched witness construction, in triples and in
@@ -156,18 +160,12 @@ def _near_disks(px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray,
     return near, low
 
 
-def _live_disks(centers: np.ndarray, radii: np.ndarray, radius: float) -> np.ndarray:
+def _live_disks(centers: np.ndarray, radii: np.ndarray,
+                radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the disks that can attain the minimal additive distance
-    (within ``TOL``) somewhere within radius + TOL of the origin: the first
-    result of ``_live_disks_and_minima``."""
-    return _live_disks_and_minima(centers, radii, radius)[0]
-
-
-def _live_disks_and_minima(centers: np.ndarray, radii: np.ndarray,
-                           radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """The disks of ``_live_disks``, ascending, and the minimal additive
-    distance over them at the centers of the cells of ``_grid``, in the
-    grid's order.
+    (within ``TOL``) somewhere within radius + TOL of the origin, ascending,
+    and the minimal additive distance over them at the centers of the cells
+    of ``_grid``, in the grid's order.
 
     The slack below covers the ownership tolerance and the polish residual,
     so that no witness, owner or value changes.  Disks strictly inside
@@ -179,17 +177,16 @@ def _live_disks_and_minima(centers: np.ndarray, radii: np.ndarray,
     The minimum over the candidates at a center is that over the kept disks,
     since the disk attaining it is kept."""
     m = radii.size
-    rows = max(1, _OWNER_CELLS // max(1, m))
+    cx, cy = centers[:, 0], centers[:, 1]
+    # Disk i lies inside disk j when |c_i - c_j| - rho_j < -rho_i.
     inside = np.zeros(m, dtype=bool)
-    for s in range(0, m, rows):
-        dist = np.hypot(centers[s:s + rows, None, 0] - centers[None, :, 0],
-                        centers[s:s + rows, None, 1] - centers[None, :, 1])
-        inside[s:s + rows] = (dist < radii[None, :] - radii[s:s + rows, None] - _SLACK).any(axis=1)
+    for s, d in _distances(cx, cy, cx, cy, radii):
+        inside[s:s + len(d)] = (d < -radii[s:s + len(d), None] - _SLACK).any(axis=1)
     cand = np.flatnonzero(~inside)
 
     reach, _, step, ix, iy = _grid(m, radius)
     qx, qy = _cell_centers(ix, iy, reach, step)
-    near, low = _near_disks(qx, qy, centers[cand, 0], centers[cand, 1], radii[cand],
+    near, low = _near_disks(qx, qy, cx[cand], cy[cand], radii[cand],
                             2.0 * (step / math.sqrt(2.0)) + _SLACK)
     return cand[near], low
 
@@ -231,7 +228,7 @@ def _peak_cells(centers: np.ndarray, radii: np.ndarray, radius: float,
     Returns the kept disks' indices, ascending, and a function that maps
     points (k, 2) to the mask of those in a kept cell (by an integer cell
     lookup, with 1e-12 of play at the cell edges)."""
-    live, f = _live_disks_and_minima(centers, radii, radius)
+    live, f = _live_disks(centers, radii, radius)
     cx, cy, rho = centers[live, 0], centers[live, 1], radii[live]
     reach, cells, step, ix, iy = _grid(radii.size, radius)
     cells <<= _PEAK_LEVELS
@@ -544,8 +541,8 @@ def _rim_crossings(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ia: np.ndarr
     solve 2 |e| cos(theta - arg e) = |c_b|^2 - |c_a|^2, e = c_b - c_a.  Roots
     near the circle and nearer this branch (difference 0) than the other
     (-2 d) are Newton-polished on the unsquared difference and kept when it
-    ends within ``_RIM_RESIDUAL``; a root within 1e-8 of an earlier root of
-    its pair is the same crossing."""
+    ends within ``_RIM_RESIDUAL``.  A double root (a tangent bisector) gives
+    its crossing twice; the witness table keeps the first copy."""
     ca = (cx[ia] + 1j * cy[ia]) / radius
     cb = (cx[ib] + 1j * cy[ib]) / radius
     gap = rho[ia] - rho[ib]
@@ -585,13 +582,7 @@ def _rim_crossings(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ia: np.ndarr
             if step < _RIM_NEWTON:
                 theta = theta - f / (radius * ((ya * c - xa * s) / da - (yb * c - xb * s) / db))
     ok = np.flatnonzero(right & (res <= _RIM_RESIDUAL * max(1.0, radius)))
-    pair, theta = pair[ok], best[ok]
-    px, py = np.cos(theta), np.sin(theta)
-    dup = np.zeros(theta.size, dtype=bool)
-    for lag in (1, 2, 3):
-        dup[lag:] |= (pair[lag:] == pair[:-lag]) & (radius * np.abs(px[lag:] - px[:-lag]) <= 1e-8) \
-            & (radius * np.abs(py[lag:] - py[:-lag]) <= 1e-8)
-    return pair[~dup], theta[~dup]
+    return pair[ok], best[ok]
 
 
 def _distances(px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray,
@@ -620,11 +611,10 @@ def _rim_witnesses(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ia: np.ndarr
                    ib: np.ndarray, radius: float):
     """Rim crossings of the pair bisectors (ia[p], ib[p]) at which both disks
     of the pair attain the minimal additive distance over all given disks.
-    Returns the points' x and y, in the order of ``_rim_crossings``, and their
-    (point, disk) owner pairs."""
+    Returns one row per (crossing, owner), in the order of ``_rim_crossings``
+    and then of the owners: the rows' x, y and owning disk."""
     if ia.size == 0:
-        empty = np.empty(0, dtype=np.intp)
-        return np.empty(0), np.empty(0), empty, empty
+        return np.empty(0), np.empty(0), np.empty(0, dtype=np.intp)
     # Additive distances are 1-Lipschitz, so two disks that both attain the
     # minimum at a rim point come within twice the half arc step (plus 2 TOL)
     # of the sampled minimum at the nearest sample; other pairs keep none.
@@ -642,15 +632,29 @@ def _rim_witnesses(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, ia: np.ndarr
     pair, theta = _rim_crossings(cx, cy, rho, ia, ib, radius)
     px, py = radius * np.cos(theta), radius * np.sin(theta)
     pt, dk = _owner_pairs(px, py, cx, cy, rho, TOL)
-    owns_a = np.zeros(px.size, dtype=bool)
-    owns_b = np.zeros(px.size, dtype=bool)
-    owns_a[pt[dk == ia[pair[pt]]]] = True
-    owns_b[pt[dk == ib[pair[pt]]]] = True
-    keep = owns_a & owns_b
-    renum = np.zeros(px.size, dtype=np.intp)
-    renum[keep] = np.arange(np.count_nonzero(keep))
-    sel = keep[pt]
-    return px[keep], py[keep], renum[pt[sel]], dk[sel]
+    # The two disks of a pair are distinct, so a crossing they both own
+    # counts two of its owner pairs among them.
+    both = np.bincount(pt[(dk == ia[pair[pt]]) | (dk == ib[pair[pt]])], minlength=px.size) == 2
+    pt, dk = pt[both[pt]], dk[both[pt]]
+    return px[pt], py[pt], dk
+
+
+def _diametral_fallbacks(cx: np.ndarray, cy: np.ndarray, rho: np.ndarray, radius: float):
+    """The diametral fallback rows: every disk's rim point farthest from its
+    center, where the disk attains the minimal additive distance over the
+    given disks there.  For an origin-centered disk the additive distance is
+    constant on the rim, so any owned rim point serves; (radius, 0) is owned
+    exactly when the disk owns the whole rim without crossings, which is the
+    only case where the fallback is needed.  Returns the rows' x, y and
+    owning disk, ascending."""
+    norms = np.hypot(cx, cy)
+    at_origin = norms <= TOL
+    scale = np.where(at_origin, 1.0, norms)
+    px = np.where(at_origin, radius, -radius * cx / scale)
+    py = np.where(at_origin, 0.0, -radius * cy / scale)
+    pt, dk = _owner_pairs(px, py, cx, cy, rho, TOL)
+    own = pt[pt == dk]
+    return px[own], py[own], own
 
 
 @dataclass(frozen=True)
@@ -662,23 +666,26 @@ class VertexSet:
     points: tuple[tuple[Point, WitnessKind], ...]
 
 
-def _witness_table(acs: Acs, radius: float,
-                   disks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _witness_table(acs: Acs, radius: float, disks: np.ndarray | None = None):
     """The witness set of every ACS disk as one table: points ``xy`` (k, 2),
-    owning disk ``owner`` (k,) and kind code ``kind`` (k,), one row per
-    (witness, owner), ordered by owner, then angle, then norm.  It is built
-    on the disks ``_live_disks`` keeps, or on ``disks`` (ascending ACS
-    indices) when given, as the cell pass of ``_peak_cells`` gives them.
+    owning disk ``owner`` (k,), kind code ``kind`` (k,) and ``value`` (k,),
+    the additive distance of the point to its owner; one row per (witness,
+    owner), ordered by owner, then angle, then norm, with the owner's
+    diametral fallback last.  It is built on the disks ``_live_disks``
+    keeps, or on ``disks`` (ascending ACS indices) when given, as the cell
+    pass of ``_peak_cells`` gives them.
 
     The rows are the equal-distance vertices of disk triples that are global
     minima inside the objective, in triple order, then the rim crossings of
     all pair bisectors, in pair order, each with every disk attaining the
-    minimum there.  A vertex within ``TOL`` of the rim is a rim crossing.
-    A copy of an earlier row within 1e-8 (``_first_copies``) is dropped, and
-    the row it copies becomes a rim crossing if the copy is one."""
+    minimum there, then the diametral fallbacks (``_diametral_fallbacks``).
+    A vertex within ``TOL`` of the rim is a rim crossing.  A copy of an
+    earlier row within 1e-8 (``_first_copies``) is dropped, and the row it
+    copies becomes a rim crossing if the copy is one; so a fallback stays
+    only where no other row of its disk lies within 1e-8 of it."""
     centers = acs.centers
     radii = acs.radii
-    live = _live_disks(centers, radii, radius) if disks is None else disks
+    live = _live_disks(centers, radii, radius)[0] if disks is None else disks
     cx, cy, rho = centers[live, 0], centers[live, 1], radii[live]
 
     # A common equal-distance point needs every pairwise bisector to be
@@ -691,25 +698,31 @@ def _witness_table(acs: Acs, radius: float,
     vpt, vdk = _owner_pairs(vx, vy, cx, cy, rho, TOL)
     on_rim = np.abs(np.hypot(vx, vy) - radius) <= TOL
     ia, ib = np.nonzero(np.triu(pair_ok, 1))
-    px, py, rpt, rdk = _rim_witnesses(cx, cy, rho, ia, ib, radius)
+    rx, ry, rdk = _rim_witnesses(cx, cy, rho, ia, ib, radius)
+    fx, fy, fdk = _diametral_fallbacks(cx, cy, rho, radius)
 
-    xy = np.column_stack([np.concatenate([vx[vpt], px[rpt]]), np.concatenate([vy[vpt], py[rpt]])])
-    owner = live[np.concatenate([vdk, rdk])]
-    kind = np.where(np.concatenate([on_rim[vpt], np.ones(rpt.size, dtype=bool)]),
-                    BOUNDARY_CROSSING, INTERIOR_VERTEX)
+    xy = np.column_stack([np.concatenate([vx[vpt], rx, fx]), np.concatenate([vy[vpt], ry, fy])])
+    owner = np.concatenate([vdk, rdk, fdk])
+    kind = np.repeat([INTERIOR_VERTEX, BOUNDARY_CROSSING, DIAMETRAL], [vpt.size, rdk.size, fdk.size])
+    kind[:vpt.size][on_rim[vpt]] = BOUNDARY_CROSSING
     into = _first_copies(xy, owner, 1e-8)
     kind[into[kind == BOUNDARY_CROSSING]] = BOUNDARY_CROSSING
     keep = into == np.arange(into.size)
     xy, owner, kind = xy[keep], owner[keep], kind[keep]
-    order = np.lexsort((np.hypot(xy[:, 0], xy[:, 1]), np.arctan2(xy[:, 1], xy[:, 0]), owner))
-    return xy[order], owner[order], kind[order]
+    order = np.lexsort((np.hypot(xy[:, 0], xy[:, 1]), np.arctan2(xy[:, 1], xy[:, 0]),
+                        kind == DIAMETRAL, owner))
+    xy, owner, kind = xy[order], owner[order], kind[order]
+    value = np.hypot(xy[:, 0] - cx[owner], xy[:, 1] - cy[owner]) - rho[owner]
+    return xy, live[owner], kind, value
 
 
 def vertex_sets(acs: Acs, radius: float) -> list[VertexSet]:
-    """Witness sets for every ACS disk: its rows of ``_witness_table`` as
-    (Point, kind name) pairs, in table order (angle, then norm)."""
+    """Witness sets for every ACS disk: its vertex and rim-crossing rows of
+    ``_witness_table`` as (Point, kind name) pairs, in table order (angle,
+    then norm)."""
     _check_radius(radius)
-    xy, owner, kind = _witness_table(acs, radius)
-    points = [(Point(x, y), _KIND_NAMES[k]) for (x, y), k in zip(xy.tolist(), kind.tolist())]
-    ends = np.searchsorted(owner, np.arange(acs.size + 1)).tolist()
+    xy, owner, kind, _ = _witness_table(acs, radius)
+    table = kind != DIAMETRAL
+    points = [(Point(x, y), _KIND_NAMES[k]) for (x, y), k in zip(xy[table].tolist(), kind[table].tolist())]
+    ends = np.searchsorted(owner[table], np.arange(acs.size + 1)).tolist()
     return [VertexSet(k, tuple(points[ends[k]:ends[k + 1]])) for k in range(acs.size)]

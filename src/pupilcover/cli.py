@@ -39,10 +39,15 @@ class ConfigError(ValueError):
 _OPTION_FIELDS = tuple(f.name for f in dataclasses.fields(OptimizerConfig))
 
 
+def _is_number(v) -> bool:
+    """Whether ``v`` is a JSON number, not a boolean, that a float holds finitely."""
+    # abs(v) <= max is false for NaN, infinities and integers too large for a float.
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _require_number(obj, key: str, context: str) -> float:
     v = obj.get(key)
-    # abs(v) <= max is false for NaN, infinities and integers too large for a float.
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= sys.float_info.max:
+    if not _is_number(v):
         raise ConfigError(f"{context}.{key} must be a finite number")
     return float(v)
 
@@ -61,7 +66,7 @@ def parse_config(raw: bytes) -> tuple[PupilConfig, dict]:
         raise ConfigError(f"unknown top-level keys: {reprlib.repr(sorted(unknown))}")
     if "objective_center" in doc:
         oc = doc["objective_center"]
-        if oc != [0, 0] and oc != [0.0, 0.0]:
+        if not (isinstance(oc, list) and len(oc) == 2 and all(_is_number(v) and v == 0 for v in oc)):
             raise ConfigError("objective_center must be [0, 0]; shifted objectives are rejected")
     radius = _require_number(doc, "objective_radius", "config")
     if radius <= 0:

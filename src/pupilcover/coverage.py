@@ -11,14 +11,14 @@ rim crossings are the polished unit roots of one quartic per disk pair (see
 ``apollonius``).
 
 ``build_analysis`` makes one ``Analysis`` per configuration from one ACS and
-one witness table (``apollonius._witness_table``: points, owning disks and
-kind codes), plus the diametral fallbacks, each disk's largest additive
-distance and the worst witness.  ``per_disk_alpha`` and ``analyze`` are views
-of it, as are the optimizer's relocation rows and the SVG witness
-marks.  ``decide`` and ``alpha_star`` need only the worst witness: the
-largest additive distance, and the first row within 1e-12 of it, so that
-rows tying up to their last bits do not swap the point.  They read it off the
-same row assembly on a smaller table: the cell pass
+one witness table (``apollonius._witness_table``: points, owning disks, kind
+codes and values, the diametral fallbacks included), with each disk's
+largest additive distance and the worst witness.  ``per_disk_alpha`` and
+``analyze`` are views of it, as are the optimizer's relocation rows and the
+SVG witness marks.  ``decide`` and ``alpha_star`` need only the worst
+witness: the largest additive distance, and the first row within 1e-12 of
+it, so that rows tying up to their last bits do not swap the point.  They
+read it off a smaller witness table: the cell pass
 ``apollonius._peak_cells`` bounds the 1-Lipschitz minimum over grid cells,
 keeps the cells that can hold the maximum and the disks that can own a
 witness there, and the witness table of those disks, restricted to the kept
@@ -48,8 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apollonius import (_OWNER_CELLS, BOUNDARY_CROSSING, INTERIOR_VERTEX, _distances,
-                         _owner_pairs, _peak_cells, _witness_table)
+from .apollonius import _OWNER_CELLS, DIAMETRAL, _distances, _peak_cells, _witness_table
 from .geom import TOL, Acs, Point, PupilConfig, _first_copies, build_acs
 
 
@@ -106,10 +105,6 @@ class PairValues(Mapping):
 #: worst witness; the first of them in table order is taken.
 _WORST_TIE = 1e-12
 
-#: Kind code of a diametral fallback witness, after the two of the witness
-#: table (``apollonius.INTERIOR_VERTEX`` and ``BOUNDARY_CROSSING``).
-DIAMETRAL = 2
-
 
 @dataclass(frozen=True, eq=False)
 class Analysis:
@@ -162,40 +157,6 @@ def _covers_trivially(cfg: PupilConfig) -> bool:
     return bool((2.0 * cfg.xyr[:, 2] >= cfg.objective_radius).any())
 
 
-def _diametral_fallbacks(acs: Acs, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every disk's rim point farthest from its center, and whether the disk
-    attains the global minimum there.  For an origin-centered disk the
-    additive distance is constant on the rim, so any owned rim point serves;
-    (radius, 0) is owned exactly when the disk owns the whole rim without
-    crossings, which is the only case where the fallback is needed."""
-    centers, radii = acs.centers, acs.radii
-    norms = np.hypot(centers[:, 0], centers[:, 1])
-    at_origin = norms <= TOL
-    pts = -radius * centers / np.where(at_origin, 1.0, norms)[:, None]
-    pts[at_origin] = (radius, 0.0)
-    pt, dk = _owner_pairs(pts[:, 0], pts[:, 1], centers[:, 0], centers[:, 1], radii, TOL)
-    owned = np.zeros(acs.size, dtype=bool)
-    owned[pt[pt == dk]] = True
-    return pts, owned
-
-
-def _rows(acs: Acs, radius: float, xy: np.ndarray, owner: np.ndarray, kind: np.ndarray):
-    """The witness rows of an analysis from a witness table: the table's
-    rows and each disk's diametral fallback unless one of its rows lies
-    within 1e-8 of it, grouped by owner, and the additive distance of every
-    row's point to its owner."""
-    fb, owned = _diametral_fallbacks(acs, radius)
-    owned[owner[(np.abs(xy - fb[owner]) <= 1e-8).all(axis=1)]] = False
-    extra = np.flatnonzero(owned)
-    order = np.argsort(np.concatenate([owner, extra]), kind="stable")
-    xy = np.concatenate([xy, fb[extra]])[order]
-    owner = np.concatenate([owner, extra])[order]
-    kind = np.concatenate([kind, np.full(extra.size, DIAMETRAL)])[order]
-    centers, radii = acs.centers, acs.radii
-    values = np.hypot(xy[:, 0] - centers[owner, 0], xy[:, 1] - centers[owner, 1]) - radii[owner]
-    return xy, owner, kind, values
-
-
 def _worst(xy: np.ndarray, values: np.ndarray) -> tuple[float, Point | None]:
     """The largest value and the point of the first row whose value is within
     ``_WORST_TIE`` of it, or (-inf, None) when there are no rows.  Rows that
@@ -210,13 +171,10 @@ def _worst(xy: np.ndarray, values: np.ndarray) -> tuple[float, Point | None]:
 
 
 def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None) -> Analysis:
-    """The witness analysis of ``cfg``: the witness table of its ACS
-    (``acs`` when the caller has built it), each disk's diametral fallback
-    unless one of its witnesses lies within 1e-8 of it, and the additive
-    distance of every witness to its owner."""
+    """The witness analysis of ``cfg``, read off the witness table of its
+    ACS (``acs`` when the caller has built it)."""
     acs = build_acs(cfg) if acs is None else acs
-    radius = cfg.objective_radius
-    xy, owner, kind, values = _rows(acs, radius, *_witness_table(acs, radius))
+    xy, owner, kind, values = _witness_table(acs, cfg.objective_radius)
     disk_alpha = np.full(acs.size, np.nan)
     np.fmax.at(disk_alpha, owner, values)
     return Analysis(cfg, acs, xy, owner, kind, disk_alpha, *_worst(xy, values))
@@ -225,9 +183,9 @@ def build_analysis(cfg: PupilConfig, *, acs: Acs | None = None) -> Analysis:
 def _worst_witness(cfg: PupilConfig,
                    stop_if_covered: bool = False) -> tuple[float, Point | None] | None:
     """``build_analysis(cfg)``'s ``worst_value`` and ``worst_point``, from
-    the rows that the cell pass ``apollonius._peak_cells`` keeps: the same
-    assembly on the witness table of the disks that can reach the maximum,
-    restricted to the kept cells, where its rows are the full table's.  With
+    the rows that the cell pass ``apollonius._peak_cells`` keeps: the
+    witness table of the disks that can reach the maximum, restricted to the
+    kept cells, where its rows are the full table's.  With
     ``stop_if_covered``, None when the cell pass's bounds prove every row
     negative, before any witness table is built."""
     acs = build_acs(cfg)
@@ -236,7 +194,7 @@ def _worst_witness(cfg: PupilConfig,
     if peak is None:
         return None
     disks, in_kept = peak
-    xy, _, _, values = _rows(acs, radius, *_witness_table(acs, radius, disks))
+    xy, _, _, values = _witness_table(acs, radius, disks)
     keep = in_kept(xy)
     return _worst(xy[keep], values[keep])
 

@@ -144,12 +144,10 @@ def _fixed_center_loop(cfg: PupilConfig, opts: OptimizerConfig, objective: str) 
     n = cfg.n
     entries: list[TraceEntry] = []
     current = cfg
-    pending = _entry(current, covered=False)
     converged = False
     for iteration in range(1, opts.max_iterations + 1):
         an = build_analysis(current)
-        pending.covered = an.covered
-        entries.append(pending)
+        entries.append(_entry(current, an.covered))
 
         a, b = _radius_constraints(an, opts)
         lb = np.full(n, opts.min_radius)
@@ -161,18 +159,16 @@ def _fixed_center_loop(cfg: PupilConfig, opts: OptimizerConfig, objective: str) 
         # Both sums are taken as ``_entry`` reports them, left to right.
         rho = np.maximum(rho, 0.0)
         err = sum(current.radii) - sum(rho.tolist())
-        if iteration >= 2 and err < 0.0 and pending.covered:
+        if iteration >= 2 and err < 0.0 and an.covered:
             # The pass would raise the sum of a covering configuration.
             return OptimizerTrace(entries, current)
         current = current.with_radii(rho)
-        pending = _entry(current, covered=False)
         # The stop test is suppressed on the very first pass so that a
         # non-covering start is first inflated to feasibility.
         if iteration >= 2 and err < opts.epsilon:
             converged = True
             break
-    pending.covered = decide(current)[0]
-    entries.append(pending)
+    entries.append(_entry(current, decide(current)[0]))
     trace = OptimizerTrace(entries, current)
     if not converged:
         raise IterationLimit(

@@ -25,8 +25,8 @@ from pupilcover import (
     tri_disk_vertices,
     vertex_sets,
 )
-from pupilcover.apollonius import (BOUNDARY_CROSSING, INTERIOR_VERTEX, _live_disks, _rim_witnesses,
-                                   _seeds, _solve_triples, _witness_table)
+from pupilcover.apollonius import (BOUNDARY_CROSSING, DIAMETRAL, INTERIOR_VERTEX, _diametral_fallbacks,
+                                   _live_disks, _rim_witnesses, _seeds, _solve_triples, _witness_table)
 from pupilcover.coverage import build_analysis
 from pupilcover.geom import _first_copies
 from tests import reference
@@ -332,9 +332,10 @@ def _rim_pair(acs, a, b, radius):
     """The rim crossings of the pair (a, b) at which both disks attain the
     minimal additive distance over the disks of ``acs``: the witness table's
     rim stage, ``_rim_witnesses``, on that one pair, as points sorted by
-    angle."""
+    angle: its rows owned by disk a, one per crossing."""
     c = acs.centers
-    px, py, _, _ = _rim_witnesses(c[:, 0], c[:, 1], acs.radii, np.array([a]), np.array([b]), radius)
+    px, py, owner = _rim_witnesses(c[:, 0], c[:, 1], acs.radii, np.array([a]), np.array([b]), radius)
+    px, py = px[owner == a], py[owner == a]
     return sorted((Point(x, y) for x, y in zip(px.tolist(), py.tolist())),
                   key=lambda p: math.atan2(p.y, p.x))
 
@@ -431,11 +432,17 @@ def test_boundary_crossings_closer_than_a_grid_step(disks, radius):
     ([Disk(_turned(0.8, 0.0, 0.3), 0.05), Disk(_turned(0.2, 0.0, 0.3), 0.25)], 0.6, 0.3),
 ], ids=["line", "hyperbola"])
 def test_boundary_crossings_tangent_bisector(disks, radius, touch):
-    pts = _rim_pair(acs_of_disks(disks), 0, 1, radius)
-    assert len(pts) == 1
-    assert pts[0].distance_to(_turned(radius, 0.0, touch)) <= 1e-8
-    assert abs(pts[0].norm() - radius) <= 1e-12
-    assert abs(delta(disks[0], pts[0]) - delta(disks[1], pts[0])) <= 1e-12
+    """The bisector touches the rim: the rim stage finds the double root
+    twice, and the witness table keeps one rim row per owner at the touch
+    point."""
+    xy, owner, kind, _ = _witness_table(acs_of_disks(disks), radius)
+    rim = kind == BOUNDARY_CROSSING
+    assert owner[rim].tolist() == [0, 1]
+    for x, y in xy[rim].tolist():
+        pt = Point(x, y)
+        assert pt.distance_to(_turned(radius, 0.0, touch)) <= 1e-8
+        assert abs(pt.norm() - radius) <= 1e-12
+        assert abs(delta(disks[0], pt) - delta(disks[1], pt)) <= 1e-12
 
 
 def test_boundary_crossings_equal_radii_line(rng):
@@ -636,12 +643,25 @@ def _reference_vertex_sets(acs, radius, *, tol=TOL):
             for k, b in enumerate(per_disk)]
 
 
-def _table_of(vsets):
-    """The witness table (xy, owner, kind) holding the points of ``vsets``."""
+def _table_of(acs, radius, vsets):
+    """The witness table (xy, owner, kind, value) holding the points of
+    ``vsets`` and, last within its disk, each disk's diametral fallback
+    unless one of the disk's points lies within 1e-8 of it."""
     codes = {"interior_vertex": INTERIOR_VERTEX, "boundary_crossing": BOUNDARY_CROSSING}
-    rows = [(p.x, p.y, vs.disk, codes[kind]) for vs in vsets for p, kind in vs.points]
+    c, rho = acs.centers, acs.radii
+    fx, fy, fdk = _diametral_fallbacks(c[:, 0], c[:, 1], rho, radius)
+    fallback = {k: (x, y) for x, y, k in zip(fx.tolist(), fy.tolist(), fdk.tolist())}
+    rows = []
+    for vs in vsets:
+        rows += [(p.x, p.y, vs.disk, codes[kind]) for p, kind in vs.points]
+        fb = fallback.get(vs.disk)
+        if fb is not None and not any(abs(p.x - fb[0]) <= 1e-8 and abs(p.y - fb[1]) <= 1e-8
+                                      for p, _ in vs.points):
+            rows.append((*fb, vs.disk, DIAMETRAL))
     table = np.array(rows, dtype=float).reshape(-1, 4)
-    return table[:, :2], table[:, 2].astype(np.intp), table[:, 3].astype(np.intp)
+    owner = table[:, 2].astype(np.intp)
+    value = np.hypot(table[:, 0] - c[owner, 0], table[:, 1] - c[owner, 1]) - rho[owner]
+    return table[:, :2], owner, table[:, 3].astype(np.intp), value
 
 
 def _equivalence_configs():
@@ -682,7 +702,7 @@ def test_batched_vertex_sets_match_scalar_reference(cfg, monkeypatch):
     got = (an.decision(), an.worst_value, per_disk_alpha(cfg))
     assert (decide(cfg), alpha_star(cfg)) == got[:2]
     monkeypatch.setattr(pupilcover.coverage, "_witness_table",
-                        lambda *args, **kw: _table_of(reference))
+                        lambda acs, radius, disks=None: _table_of(acs, radius, reference))
     an = build_analysis(cfg)
     want = (an.decision(), an.worst_value, per_disk_alpha(cfg))
     assert (decide(cfg), alpha_star(cfg)) == want[:2]
@@ -740,7 +760,7 @@ def test_lattice_hole_vertex_once_per_owner():
               if abs(pt.x - 0.5) <= 1e-8 and abs(pt.y - 0.5) <= 1e-8]
     assert len(copies) == 4
 
-    xy, owner, kind = _witness_table(acs, cfg.objective_radius)
+    xy, owner, kind, _ = _witness_table(acs, cfg.objective_radius)
     hole = np.flatnonzero((np.abs(xy[:, 0] - 0.5) <= 1e-8) & (np.abs(xy[:, 1] - 0.5) <= 1e-8))
     assert owner[hole].tolist() == tie
     assert (kind[hole] == INTERIOR_VERTEX).all()
@@ -764,7 +784,7 @@ def test_rim_vertex_once_per_owner_as_crossing(inset):
     v = (1.0 - inset, 0.0)
     acs = acs_of_disks([Disk(Point(v[0] + 0.5 * math.cos(t), v[1] + 0.5 * math.sin(t)), 0.1)
                          for t in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)])
-    xy, owner, kind = _witness_table(acs, 1.0)
+    xy, owner, kind, _ = _witness_table(acs, 1.0)
     at_v = np.flatnonzero((np.abs(xy[:, 0] - v[0]) <= 1e-8) & (np.abs(xy[:, 1] - v[1]) <= 1e-8))
     assert owner[at_v].tolist() == [0, 1, 2]
     assert (kind[at_v] == BOUNDARY_CROSSING).all()
@@ -840,7 +860,8 @@ def test_cell_mask_changes_no_witness(cfg, monkeypatch):
     bit-identical to the table with the far and containment prune."""
     acs = build_acs(cfg)
     got = _witness_table(acs, cfg.objective_radius)
-    monkeypatch.setattr(pupilcover.apollonius, "_live_disks", _far_and_contained)
+    monkeypatch.setattr(pupilcover.apollonius, "_live_disks",
+                        lambda *args: (_far_and_contained(*args), None))
     want = _witness_table(acs, cfg.objective_radius)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
@@ -853,7 +874,7 @@ def test_cell_mask_keeps_few_disks_on_prime_design():
     cfg = prime_design(4.0, 1.0 / math.sqrt(2.0)).config
     acs = build_acs(cfg)
     assert acs.size == 289
-    live = _live_disks(acs.centers, acs.radii, cfg.objective_radius)
+    live, _ = _live_disks(acs.centers, acs.radii, cfg.objective_radius)
     assert live.size <= 100
 
 

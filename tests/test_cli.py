@@ -93,6 +93,11 @@ def test_config_round_trip():
             for key, value in [("min_radius", 5e307), ("min_radius", 1e308), ("max_radius", 1e308),
                                ("min_radius", 1e151)]
         ),
+        *(
+            ({"objective_radius": 1.0, "pupils": [{"x": 0, "y": 0, "r": 0.1}], "objective_center": center},
+             "objective_center")
+            for center in ([False, False], [0, False])
+        ),
     ],
 )
 def test_config_validation_errors(payload, fragment):
@@ -233,6 +238,16 @@ def test_unrepresentable_numbers_exit_2(tmp_path, capsys, command, payload, frag
     code, out, err = run(capsys, command, write_config(tmp_path, payload))
     assert code == 2 and out == ""
     assert fragment in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("center, code", [([False, False], 2), ([0, False], 2), ([0, 0.0], 0)])
+def test_objective_center_takes_numbers_only(tmp_path, capsys, center, code):
+    """objective_center must be two finite numbers equal to 0; booleans,
+    which compare equal to 0, are rejected like in every other number
+    field."""
+    got, _, err = run(capsys, "decide", write_config(tmp_path, {**GOOD, "objective_center": center}))
+    assert got == code
+    assert ("objective_center" in err) == (code == 2)
 
 
 def test_radius_options_up_to_the_limit_solve(tmp_path, capsys):

@@ -19,8 +19,10 @@ from pupilcover import (
     max_objective,
     per_disk_alpha,
     prime_design,
+    vertex_sets,
 )
-from pupilcover.coverage import _covers_trivially, build_analysis
+from pupilcover.apollonius import BOUNDARY_CROSSING
+from pupilcover.coverage import DIAMETRAL, _covers_trivially, build_analysis
 from pupilcover.geom import TOL
 from tests.conftest import acs_disks, count_calls, g4_lattice, near_collinear_start, random_config
 from tests.reference import alpha_star_bounds
@@ -135,6 +137,62 @@ def test_alpha_star_matches_enlargement_bisection_oracle():
 def test_per_disk_alpha_single_pupil():
     alphas = per_disk_alpha(PupilConfig([Pupil(Point(0, 0), 0.3)], 1.0))
     assert alphas == {(0, 0): pytest.approx(0.4)}
+
+
+def test_single_pupil_has_one_diametral_row():
+    """One pupil off the origin: its one difference disk is origin-centered
+    (radius 0.6), owns the whole rim and has no cell boundary, so its only
+    witness is the diametral fallback (R, 0), at additive distance 0.4."""
+    cfg = PupilConfig([Pupil(Point(0.2, 0.1), 0.3)], 1.0)
+    an = build_analysis(cfg)
+    assert an.xy.tolist() == [[1.0, 0.0]]
+    assert an.owner.tolist() == [0]
+    assert an.kind.tolist() == [DIAMETRAL]
+    assert an.worst_value == pytest.approx(0.4, abs=1e-12)
+    assert alpha_star(cfg) == an.worst_value
+
+
+def _origin_rows(dy):
+    """Pupils (0, 0) and (-1, -dy), radius 0.1, R = 1: the difference disks
+    are the origin disk O (radius 0.2) and (+-1, +-dy) (radius 0.2).  O owns
+    its fallback (1, 0); at dy = 1 the bisector of O and (1, 1), the line
+    x + y = 1, crosses the rim there.  Returns the analysis, O's index and
+    O's rows."""
+    an = build_analysis(PupilConfig([Pupil(Point(0.0, 0.0), 0.1), Pupil(Point(-1.0, -dy), 0.1)], 1.0))
+    o = int(an.acs.pair_disk[0, 0])
+    rows = np.flatnonzero(an.owner == o)
+    return an, o, rows
+
+
+def test_fallback_within_1e8_of_a_row_of_its_disk_is_dropped():
+    an, o, rows = _origin_rows(1.0)
+    at = rows[(np.abs(an.xy[rows] - [1.0, 0.0]) <= 1e-8).all(axis=1)]
+    assert at.size == 1
+    assert an.kind[at[0]] == BOUNDARY_CROSSING
+    assert (an.kind[rows] != DIAMETRAL).all()
+
+
+def test_fallback_comes_last_within_its_disk():
+    """At dy = 1.2 no bisector meets (1, 0), so O keeps its fallback there,
+    after its four rim crossings, though its angle (0) lies between theirs."""
+    an, o, rows = _origin_rows(1.2)
+    assert an.kind[rows].tolist() == [BOUNDARY_CROSSING] * 4 + [DIAMETRAL]
+    assert an.xy[rows[-1]].tolist() == [1.0, 0.0]
+    angles = np.arctan2(an.xy[rows, 1], an.xy[rows, 0])
+    assert np.all(np.diff(angles[:-1]) >= 0.0)
+    assert angles[0] < 0.0 < angles[-2]
+    assert (an.owner[an.kind == DIAMETRAL] == o).all()
+
+
+@pytest.mark.parametrize("dy", [1.0, 1.2])
+def test_vertex_sets_hold_no_fallback(dy):
+    """``vertex_sets`` lists the analysis's rows other than the diametral
+    fallback (present at dy = 1.2), disk by disk, in order."""
+    an, _, _ = _origin_rows(dy)
+    assert np.count_nonzero(an.kind == DIAMETRAL) == (dy == 1.2)
+    got = [(vs.disk, p.x, p.y) for vs in vertex_sets(an.acs, 1.0) for p, _ in vs.points]
+    table = an.kind != DIAMETRAL
+    assert got == [(k, x, y) for k, (x, y) in zip(an.owner[table].tolist(), an.xy[table].tolist())]
 
 
 def test_per_disk_alpha_covered_config_nonpositive(rng):
