@@ -19,25 +19,30 @@ objective keeps a disk only if, at some cell center, it is within twice the
 cell half-diagonal (plus the ownership slack) of the minimum there.
 Additive distance is 1-Lipschitz, so the mask changes no witness.  The
 triple stage enumerates the triples of masked disks whose three pairs have a
-bisector, as index columns, and runs each chunk of them through a pipeline:
-closed-form seeds from the equal-distance line and quadratic (``_seeds``),
-which keep only the roots of the squared system tangent to all three disks
-the right way (rho_k + r = +|x - c_k|, not -|x - c_k|; Emiris & Karavelas,
-"The predicates of the Apollonius diagram", CGTA 2006) and whose
-temporaries are freed before a Newton polish that gathers the disks of its
-still-moving candidates by index at every step and stops beyond the
+bisector, as index columns in lexicographic order, with no Python loop per
+disk: the pair mask is cut into blocks of rows, and one ``np.argwhere`` of a
+block's boolean cube gives its triples (``_triples``).  It runs each chunk
+of them through a pipeline: closed-form seeds from the equal-distance line
+and quadratic (``_line_roots``), of which ``_seeds`` keeps, by one gather of
+each root's three disks, only the roots of the squared system tangent to
+all three disks the right way (rho_k + r = +|x - c_k|, not -|x - c_k|;
+Emiris & Karavelas, "The predicates of the Apollonius diagram", CGTA 2006),
+whose temporaries are freed before a Newton polish that gathers the disks
+of its still-moving candidates by index at every step and stops beyond the
 objective at a residual relative to the root's norm (``_polish``), then a
 running global-minimum test over the masked disks.  Every stage is
 elementwise per triple or per candidate and keeps the candidate order, so
-the chunk size changes no bit of the table.  The rim stage is exact: a
-coarse angle grid drops, by the same Lipschitz bound, the pairs whose disks
-never both come near the minimum at one sample, and every other pair's
-crossings are the unit roots of one quartic (a quadratic for equal radii),
-solved in closed form for all pairs at once and Newton-polished.  The triple
-chunks and the point-by-disk tests (containment, mask, ownership) each hold
-a bounded number of floats.  The one m x m array left is ``pair_ok`` over
-the m masked disks, and the rim stage holds arrays over its pairs, so memory
-grows as m^2 and the work as m^3 in the masked disk count.
+neither the chunk size nor the block size changes a bit of the table.  The
+rim stage is exact: a coarse angle grid drops, by the same Lipschitz bound,
+the pairs whose disks never both come near the minimum at one sample, and
+every other pair's crossings are the unit roots of one quartic (a quadratic
+for equal radii), solved in closed form for all pairs at once and
+Newton-polished.  The triple chunks and the point-by-disk tests
+(containment, mask, ownership) each hold a bounded number of floats, and so
+does a block of the triple enumeration unless it is a single row.  The one
+m x m array left is ``pair_ok`` over the m masked disks, and the rim stage
+holds arrays over its pairs, so memory grows as m^2 and the work as m^3 in
+the masked disk count.
 
 The worst witness alone, a row of largest additive distance, needs only the
 disks near the maximum.  The cell pass ``_peak_cells`` starts from the mask's
@@ -75,11 +80,12 @@ _KIND_NAMES: tuple[WitnessKind, ...] = ("interior_vertex", "boundary_crossing")
 
 # Chunk sizes of the batched witness construction, in triples and in
 # point-by-disk (or disk-by-disk) cells.  The cells hold one float each, so
-# a cell chunk's arrays stay under 32 KB.  A triple chunk's arrays hold a few
-# floats per candidate (at most two per triple); at 512 triples the traced
-# peak of a whole analysis is about 350 KB on an n = 9 design (430 KB at 256
-# before the seeds and the polish were split), and each numpy call of the
-# seeds and of a Newton step serves twice the triples it did at 256.
+# a cell chunk's arrays stay under 32 KB; ``_triples`` sizes its row blocks
+# from the same count.  A triple chunk's arrays hold a few floats per
+# candidate (at most two per triple); at 512 triples the traced peak of a
+# whole analysis is about 350 KB on an n = 9 design (430 KB at 256 before
+# the seeds and the polish were split), and each numpy call of the seeds and
+# of a Newton step serves twice the triples it did at 256.
 _TRIPLE_CHUNK = 512
 _OWNER_CELLS = 4096
 
@@ -267,24 +273,37 @@ def _peak_cells(centers: np.ndarray, radii: np.ndarray, radius: float,
 def _triples(ok: np.ndarray):
     """Index columns (i, j, k), i < j < k, of every triple whose three pairs
     are ``ok``, in lexicographic order, as (3, triples) arrays of
-    _TRIPLE_CHUNK columns (the last may be shorter)."""
+    _TRIPLE_CHUNK columns (the last may be shorter).
+
+    With upper = triu(ok, 1), (i, j, k) is a triple where upper[i, j],
+    upper[i, k] and upper[j, k] all hold.  A block of rows s <= i < e is one
+    boolean cube over (i, j, k) with j, k > s, and one ``np.argwhere`` of it
+    gives its triples in C order, which is the lexicographic order.  A cube
+    yields at most one triple per cell, three integers each, so a block
+    takes as many rows as keep it within ``_OWNER_CELLS`` // 3 cells: its
+    index columns then hold at most ``_OWNER_CELLS`` integers.  A block
+    holds at least one row, whose cube is (m - s - 1)^2 cells."""
     upper = np.triu(ok, 1)
+    m = upper.shape[0]
+    cells = _OWNER_CELLS // 3
     parts: list[np.ndarray] = []
-    held = 0
-    for i in range(ok.shape[0] - 2):
-        nb = np.flatnonzero(upper[i])
-        jj, kk = np.nonzero(np.triu(ok[np.ix_(nb, nb)], 1))
-        if jj.size == 0:
-            continue
-        parts.append(np.stack([np.full(jj.size, i), nb[jj], nb[kk]]))
-        held += jj.size
+    held = s = 0
+    while s < m - 2:
+        e = min(m - 2, s + max(1, cells // (m - s - 1) ** 2))
+        u = upper[s:e, s + 1:]
+        found = np.argwhere(u[:, :, None] & u[:, None, :] & upper[None, s + 1:, s + 1:]).T
+        found[0] += s
+        found[1:] += s + 1
+        s = e
+        parts.append(found)
+        held += found.shape[1]
         if held < _TRIPLE_CHUNK:
             continue
         block = np.concatenate(parts, axis=1)
         end = held - held % _TRIPLE_CHUNK
         parts, held = [block[:, end:].copy()], held - end
-        for s in range(0, end, _TRIPLE_CHUNK):
-            yield block[:, s:s + _TRIPLE_CHUNK]
+        for c in range(0, end, _TRIPLE_CHUNK):
+            yield block[:, c:c + _TRIPLE_CHUNK]
     if held:
         yield np.concatenate(parts, axis=1)
 
@@ -319,20 +338,12 @@ def _null_lines(c):
     return p0, n, regular
 
 
-def _seeds(idx, disks):
-    """Closed-form equal-distance candidates of the triples ``idx`` (3,
-    triples) of ``disks`` (3, m: x, y and radius rows): the real roots of the
-    line of ``_null_lines`` in one squared equation.  Returns the candidates'
-    slots, 2 * triple for the single root or the smaller-lam root and
-    2 * triple + 1 for the larger-lam root, in increasing order, and their
-    (x, y, r) seeds, a (3, candidates) array.
-
-    A root of the squared system |x - c_k|^2 = (rho_k + r)^2 has rho_k + r =
-    +-|x - c_k| at each disk k of its triple.  Where the sign is negative the
-    point is tangent to disk k the wrong way and is no equal-distance point,
-    so a root with rho_k + r < -|x - c_k| / 2 - TOL at some k is dropped.
-    Every equal-distance point is a root with the positive sign at all
-    three disks, so it stays a candidate of its own triple."""
+def _line_roots(idx, disks):
+    """The real roots of the line of ``_null_lines`` in one squared
+    equation, for the triples ``idx`` (3, triples) of ``disks``: their slots,
+    2 * triple for the single root or the smaller-lam root and 2 * triple + 1
+    for the larger-lam root, in increasing order, and their (x, y, r), a (3,
+    roots) array."""
     c0 = disks[:, idx[0]]
     p0, n, regular = _null_lines(disks[:, idx])
 
@@ -358,10 +369,26 @@ def _seeds(idx, disks):
     has[one, 0] = has[two, 0] = has[two, 1] = True
     slot = np.flatnonzero(has)
     tri, lam = slot // 2, lam.ravel()[slot]
-    xyr = p0[:, tri] + lam * n[:, tri]
-    real = np.ones(slot.size, dtype=bool)
-    for k in idx[:, tri]:
-        real &= disks[2, k] + xyr[2] >= -0.5 * np.hypot(xyr[0] - disks[0, k], xyr[1] - disks[1, k]) - TOL
+    return slot, p0[:, tri] + lam * n[:, tri]
+
+
+def _seeds(idx, disks):
+    """Closed-form equal-distance candidates of the triples ``idx`` (3,
+    triples) of ``disks`` (3, m: x, y and radius rows): the roots of
+    ``_line_roots`` of the right sign.  Returns the candidates' slots, in
+    increasing order, and their (x, y, r) seeds, a (3, candidates) array.
+
+    A root of the squared system |x - c_k|^2 = (rho_k + r)^2 has rho_k + r =
+    +-|x - c_k| at each disk k of its triple.  Where the sign is negative the
+    point is tangent to disk k the wrong way and is no equal-distance point,
+    so a root with rho_k + r < -|x - c_k| / 2 - TOL at some k is dropped.
+    Every equal-distance point is a root with the positive sign at all
+    three disks, so it stays a candidate of its own triple.  The test is one
+    gather of the three disks of every root, after the temporaries of
+    ``_line_roots`` are freed, and one ``all`` over the three."""
+    slot, xyr = _line_roots(idx, disks)
+    d = disks[:, idx[:, slot // 2]]
+    real = (d[2] + xyr[2] >= -0.5 * np.hypot(xyr[0] - d[0], xyr[1] - d[1]) - TOL).all(axis=0)
     return slot[real], xyr[:, real]
 
 

@@ -142,6 +142,14 @@ def _radius_constraints(an: Analysis, opts: OptimizerConfig) -> tuple[np.ndarray
 
 def _fixed_center_loop(cfg: PupilConfig, opts: OptimizerConfig, objective: str) -> OptimizerTrace:
     n = cfg.n
+    # The programs are solved in units of s, the largest power of two at most
+    # max(R, min_radius), the scale of the new radii: the solvers' tolerances
+    # are absolute, and a power of two scales every right side exactly.  The
+    # upper bound sets no scale; a huge one that never binds would shrink
+    # the radii below the tolerances' unit term.
+    s = math.ldexp(1.0, math.frexp(max(cfg.objective_radius, opts.min_radius))[1] - 1)
+    lb = np.full(n, opts.min_radius / s)
+    ub = None if opts.max_radius is None else np.full(n, opts.max_radius / s)
     entries: list[TraceEntry] = []
     current = cfg
     converged = False
@@ -150,14 +158,13 @@ def _fixed_center_loop(cfg: PupilConfig, opts: OptimizerConfig, objective: str) 
         entries.append(_entry(current, an.covered))
 
         a, b = _radius_constraints(an, opts)
-        lb = np.full(n, opts.min_radius)
-        ub = None if opts.max_radius is None else np.full(n, opts.max_radius)
+        b /= s
         if objective == "sum":
             rho = solve_lp(LinearProgram(np.ones(n), a, b, lb, ub))
         else:
             rho = solve_qp(QuadraticProgram(2.0 * math.pi * np.eye(n), np.zeros(n), a, b, lb, ub))
         # Both sums are taken as ``_entry`` reports them, left to right.
-        rho = np.maximum(rho, 0.0)
+        rho = np.maximum(rho * s, 0.0)
         err = sum(current.radii) - sum(rho.tolist())
         if iteration >= 2 and err < 0.0 and an.covered:
             # The pass would raise the sum of a covering configuration.

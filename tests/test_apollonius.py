@@ -935,6 +935,70 @@ def test_witness_table_does_not_depend_on_chunk_size(chunk, default_chunk_tables
             assert _table_bits(cfg) == default_chunk_tables[label], label
 
 
+@pytest.mark.parametrize("cells", [1, 1 << 20])
+def test_witness_table_does_not_depend_on_block_size(cells, default_chunk_tables, monkeypatch):
+    """``_OWNER_CELLS`` sizes the row blocks of the triple enumeration as
+    well as the point-by-disk blocks: at 1 every block is one row (and one
+    point), at 2^20 one block holds all rows.  Neither changes a bit of the
+    witness table, dtypes included, on the smaller designs."""
+    monkeypatch.setattr(pupilcover.apollonius, "_OWNER_CELLS", cells)
+    for label, cfg in _CHUNK_DESIGNS:
+        if label in _CHUNK_SUBSETS[7]:
+            assert _table_bits(cfg) == default_chunk_tables[label], label
+
+
+def _brute_triples(ok: np.ndarray) -> np.ndarray:
+    """The triples i < j < k whose three pairs are ``ok``, by brute force, as
+    (3, triples) columns in lexicographic order."""
+    found = [t for t in combinations(range(ok.shape[0]), 3)
+             if ok[t[0], t[1]] and ok[t[0], t[2]] and ok[t[1], t[2]]]
+    return np.array(found, dtype=np.intp).reshape(-1, 3).T
+
+
+def _random_pair_masks():
+    """Symmetric boolean masks of m = 0 to 40 disks at densities 0 to 1."""
+    rng = np.random.default_rng(25)
+    for m in (0, 1, 2, 3, 4, 7, 12, 20, 31, 40):
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            ok = np.triu(rng.random((m, m)) < density, 1)
+            yield f"m={m} density={density}", ok | ok.T
+
+
+def _p2_pair_ok():
+    """``pair_ok`` of the witness table over the p = 2 design's live disks."""
+    cfg = prime_design(4.0, 1.0 / math.sqrt(2.0)).config
+    acs = build_acs(cfg)
+    live, _ = _live_disks(acs.centers, acs.radii, cfg.objective_radius)
+    cx, cy, rho = acs.centers[live, 0], acs.centers[live, 1], acs.radii[live]
+    dist = np.hypot(cx[:, None] - cx[None, :], cy[:, None] - cy[None, :])
+    return (dist > np.abs(rho[:, None] - rho[None, :])) & (dist > TOL)
+
+
+@pytest.mark.parametrize("masks", [
+    pytest.param(_random_pair_masks, id="random"),
+    pytest.param(lambda: [(f"all true m={m}", np.ones((m, m), dtype=bool)) for m in (3, 17, 40)],
+                 id="all true"),
+    pytest.param(lambda: [(f"all false m={m}", np.zeros((m, m), dtype=bool)) for m in (3, 17, 40)],
+                 id="all false"),
+    pytest.param(lambda: [("p = 2", _p2_pair_ok())], id="p = 2"),
+])
+def test_triples_match_brute_force(masks):
+    """``_triples`` yields exactly the brute-force triples, in lexicographic
+    order, as intp columns cut into chunks of ``_TRIPLE_CHUNK`` with only
+    the last shorter, and nothing at all for fewer than three disks."""
+    chunk = pupilcover.apollonius._TRIPLE_CHUNK
+    for label, ok in masks():
+        got = list(pupilcover.apollonius._triples(ok))
+        want = _brute_triples(ok)
+        assert all(c.dtype == np.intp and c.shape[0] == 3 for c in got), label
+        assert all(c.shape[1] == chunk for c in got[:-1]), label
+        assert all(0 < c.shape[1] <= chunk for c in got), label
+        if ok.shape[0] < 3:
+            assert got == [], label
+        both = np.concatenate(got, axis=1) if got else np.empty((3, 0), dtype=np.intp)
+        assert np.array_equal(both, want), label
+
+
 def _peak_kib(call, cfg) -> float:
     """Traced peak of one ``call(cfg)`` above what was allocated before it,
     in KiB, after one untraced warm-up call."""

@@ -230,7 +230,7 @@ def test_option_flags_out_of_range_exit_2(tmp_path, capsys, command, flag, value
     ("minarea", {**UNCOVERED, "options": {"min_radius": 5e307}}, "min_radius"),
     ("minsum", {**UNCOVERED, "options": {"min_radius": 1e308}}, "min_radius"),
 ], ids=["huge objective", "huge max_radius", "infinite theta", "far pupils", "huge radius",
-        "finite min_radius past the phase-1 box", "finite min_radius past the row sums"])
+        "finite min_radius past the radius limit", "finite min_radius past the row sums"])
 def test_unrepresentable_numbers_exit_2(tmp_path, capsys, command, payload, fragment):
     """Numbers that are no finite float, designs whose difference disks
     overflow, and radius options past the limit of the radius programs are
@@ -257,6 +257,36 @@ def test_radius_options_up_to_the_limit_solve(tmp_path, capsys):
         tmp_path, {**UNCOVERED, "options": {"min_radius": 1e150}}))
     assert code == 0
     assert json.loads(out)["result"]["trace"]["final_config"]["pupils"][0]["r"] == 1e150
+
+
+@pytest.mark.parametrize("command", ["minsum", "minarea"])
+@pytest.mark.parametrize("min_radius", [1e18, 1e20])
+def test_radius_programs_solve_at_a_huge_min_radius(tmp_path, capsys, command, min_radius):
+    """The radius programs are solved in units of the largest power of two at
+    most the radius bounds, so a lower bound of 1e18 or 1e20 leaves no
+    residual of one ulp of the bound against an absolute tolerance."""
+    code, out, _ = run(capsys, command, write_config(
+        tmp_path, {**UNCOVERED, "options": {"min_radius": min_radius}}))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["covered"] is True
+    assert result["trace"]["final_config"]["pupils"][0]["r"] == pytest.approx(min_radius, rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["minsum", "minarea"])
+@pytest.mark.parametrize("scale", [1e16, 1e17, 3e18, 1e19, 1e30])
+def test_radius_programs_solve_at_any_scale(tmp_path, capsys, command, scale):
+    """The two-pupil design (0, 0, 0.3 R), (0.4 R, 0.1 R, 0.2 R) ends where it
+    ends at R = 1, at radii (0.5 R, 0.4 R), whatever the scale R.  The
+    verdict is not checked: TOL is absolute, so at R = 3e18 the area loop's
+    first radius, two ulps short of R / 2, reads as uncovered."""
+    pupils = [{"x": 0.0, "y": 0.0, "r": 0.3 * scale}, {"x": 0.4 * scale, "y": 0.1 * scale, "r": 0.2 * scale}]
+    code, out, _ = run(capsys, command, write_config(
+        tmp_path, {"objective_radius": scale, "pupils": pupils}))
+    assert code == 0
+    result = json.loads(out)["result"]
+    radii = [p["r"] for p in result["trace"]["final_config"]["pupils"]]
+    assert radii == pytest.approx([0.5 * scale, 0.4 * scale], rel=1e-12)
 
 
 def test_minarea_with_a_huge_max_radius_solves(tmp_path, capsys):
